@@ -31,6 +31,7 @@
 
 use crate::distance::{CapacitySweep, LastUseDistance};
 use crate::three_c::ThreeCCounts;
+use bpred_core::history::history_mask;
 use bpred_core::index::IndexFunction;
 use bpred_core::vector::InfoVector;
 use bpred_trace::soa::TraceColumns;
@@ -83,17 +84,6 @@ pub struct FaCounts {
 /// never collide with a stored pair.
 const COLD: (u64, u64) = (u64::MAX, 0);
 
-#[inline(always)]
-fn hist_mask(bits: u32) -> u64 {
-    if bits == 0 {
-        0
-    } else if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
 /// Walk `cols` once through a direct-mapped tagged table.
 ///
 /// Bit-identical to driving [`crate::tagged::TaggedDirectMapped`] behind
@@ -141,7 +131,7 @@ fn drive_dm(
 ) -> DmCounts {
     let mut tags: Vec<(u64, u64)> = vec![COLD; 1usize << entries_log2];
     let tmask = tags.len() - 1;
-    let hmask = hist_mask(history_bits);
+    let hmask = history_mask(history_bits);
     let mut hist = 0u64;
     let mut counts = DmCounts::default();
     for (i, &pc) in cols.pcs().iter().enumerate() {
@@ -185,7 +175,7 @@ pub fn fa_pass(cols: &TraceColumns, history_bits: u32, capacities: &[u64]) -> Fa
     assert!(history_bits <= 64, "history_bits {history_bits} above 64");
     let mut lud = LastUseDistance::new();
     let mut sweep = CapacitySweep::new(capacities);
-    let hmask = hist_mask(history_bits);
+    let hmask = history_mask(history_bits);
     let mut hist = 0u64;
     for (i, &pc) in cols.pcs().iter().enumerate() {
         let (conditional, taken) = cols.cond_taken(i);

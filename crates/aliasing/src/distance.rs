@@ -11,7 +11,7 @@
 //! reference timestamps holding a 1 at the *most recent* position of each
 //! distinct pair.
 
-use std::collections::HashMap;
+use bpred_core::hash::PairMap;
 
 /// Streaming last-use-distance tracker.
 ///
@@ -33,7 +33,7 @@ pub struct LastUseDistance {
     /// extended by zero-filling, because a new node covers old positions.
     marks: Vec<u8>,
     /// Most recent timestamp of each pair (1-based).
-    last: HashMap<(u64, u64), usize>,
+    last: PairMap<usize>,
     /// Next timestamp.
     now: usize,
 }
@@ -44,7 +44,7 @@ impl LastUseDistance {
         LastUseDistance {
             tree: vec![0; 1024],
             marks: vec![0; 1024],
-            last: HashMap::new(),
+            last: PairMap::default(),
             now: 0,
         }
     }
@@ -92,7 +92,7 @@ impl LastUseDistance {
         if now >= self.tree.len() {
             self.grow();
         }
-        let distance = match self.last.get(&pair).copied() {
+        let distance = match self.last.insert(pair, now) {
             Some(prev) => {
                 // Distinct pairs strictly between prev and now.
                 let d = self.prefix(now - 1) - self.prefix(prev);
@@ -102,7 +102,6 @@ impl LastUseDistance {
             None => None,
         };
         self.add(now, 1);
-        self.last.insert(pair, now);
         distance
     }
 

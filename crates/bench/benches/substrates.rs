@@ -117,16 +117,12 @@ fn duel_and_offenders(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
+    let columns = bpred_trace::soa::TraceColumns::from_records(&records);
     group.bench_function("duel-gshare-vs-gskew", |b| {
         b.iter(|| {
-            let mut p1 = parse_spec("gshare:n=12,h=8").expect("valid spec");
-            let mut p2 = parse_spec("gskew:n=12,h=8").expect("valid spec");
-            duel(
-                &mut p1,
-                &mut p2,
-                records.iter().copied(),
-                NovelPolicy::Count,
-            )
+            let p1 = parse_spec("gshare:n=12,h=8").expect("valid spec");
+            let p2 = parse_spec("gskew:n=12,h=8").expect("valid spec");
+            duel(p1, p2, &columns, NovelPolicy::Count)
         });
     });
     group.bench_function("offender-analysis", |b| {

@@ -1,15 +1,16 @@
-//! Dyn-vs-kernel throughput measurement behind `bpsim bench`.
+//! Fused-vs-unfused throughput race behind `bpsim bench`.
 //!
-//! Each [`BenchCase`] is a sweep-shaped list of predictor specs (the
-//! same shapes the quick campaign simulates) driven over the
-//! quick-campaign workloads twice: once through the batched
-//! `Box<dyn BranchPredictor>` engine pass and once through the
-//! monomorphized kernels walking the shared
-//! [`TraceColumns`](bpred_trace::soa::TraceColumns) view. Both
-//! paths are timed as summed CPU seconds, so the reported speedup is
-//! independent of the worker-thread count, and both results are compared
-//! cell by cell — a throughput run doubles as an end-to-end equivalence
-//! check.
+//! Every predictor family implements [`BranchPredictor::step`], a fused
+//! predict-and-train that computes its indices (or hash keys) once per
+//! branch. Each [`BenchCase`] is a sweep-shaped list of one family's
+//! specs driven over the quick-campaign workloads twice, both times
+//! through [`engine::simulate`] over the concrete predictor type: once
+//! as is, and once behind [`Unfused`], whose trait impl forwards
+//! `predict` and `update` only, so the default predict-then-update
+//! `step` runs. Both paths are timed as summed CPU seconds, so the
+//! reported speedup is independent of the worker-thread count, and both
+//! results are compared cell by cell — a throughput run doubles as the
+//! equivalence check of every fused `step`.
 //!
 //! [`BenchReport::to_json`] serializes the measurement for
 //! `BENCH_kernels.json`, the artifact the CI bench smoke job tracks.
@@ -17,57 +18,188 @@
 use bpred_aliasing::batch::{self, ThreeCCell};
 use bpred_aliasing::three_c::ThreeCClassifier;
 use bpred_core::index::IndexFunction;
-use bpred_core::spec::parse_spec;
+use bpred_core::predictor::{BranchPredictor, Outcome, Prediction};
+use bpred_core::spec::{PredictorSpec, Visit};
 use bpred_results::json::Json;
-use bpred_sim::engine::{self, NovelPolicy};
+use bpred_sim::engine::{self, Mode, NovelPolicy, RunResult};
 use bpred_sim::experiments::workload_seed;
-use bpred_sim::kernel::{self, PredictorKernel};
+use bpred_sim::kernel;
 use bpred_sim::runner::parallel_map;
 use bpred_trace::cache;
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::workload::IbsBenchmark;
 use std::time::Instant;
 
 /// The quick-campaign trace-length cap (`ExperimentOpts::len_for`).
 pub const QUICK_LEN_CAP: u64 = 120_000;
 
+/// Runs per side and spec in [`run`]; the fastest of each side counts.
+pub const RACE_ROUNDS: usize = 3;
+
 /// One named list of predictor specs to race.
 #[derive(Debug, Clone)]
 pub struct BenchCase {
     /// Case name (one row of the report).
     pub name: &'static str,
-    /// The predictor specs the case drives; every spec must have a
-    /// kernel fast path.
+    /// The predictor specs the case drives.
     pub specs: Vec<String>,
 }
 
-/// The default case list: the sweep shapes of the paper's fig. 5 and
-/// fig. 7 plus the gskew variant axis, all kernel-eligible.
+fn case(name: &'static str, specs: impl IntoIterator<Item = String>) -> BenchCase {
+    BenchCase {
+        name,
+        specs: specs.into_iter().collect(),
+    }
+}
+
+/// The default case list: one case per predictor family, each in the
+/// sweep shape the experiments simulate it in. The static predictors
+/// have nothing to fuse and are left out.
 pub fn default_cases() -> Vec<BenchCase> {
     vec![
-        BenchCase {
-            name: "gshare-size",
-            specs: (6..=13).map(|n| format!("gshare:n={n},h=4")).collect(),
-        },
-        BenchCase {
-            name: "gskew-size",
-            specs: (5..=12).map(|n| format!("gskew:n={n},h=4")).collect(),
-        },
-        BenchCase {
-            name: "gskew-history",
-            specs: (0..=8).map(|h| format!("gskew:n=12,h={h}")).collect(),
-        },
-        BenchCase {
-            name: "variants",
-            specs: vec![
-                "bimodal:n=12".into(),
-                "gselect:n=10,h=6".into(),
-                "egskew:n=10,h=6".into(),
-                "gskew:n=10,h=6,update=total".into(),
-                "gskew:n=10,h=6,banks=5".into(),
-                "gskew:n=10,h=6,skew=off".into(),
-            ],
-        },
+        case("gshare-size", (6..=13).map(|n| format!("gshare:n={n},h=4"))),
+        case("gskew-size", (5..=12).map(|n| format!("gskew:n={n},h=4"))),
+        case(
+            "gskew-history",
+            (0..=8).map(|h| format!("gskew:n=12,h={h}")),
+        ),
+        case(
+            "variants",
+            [
+                "bimodal:n=12",
+                "gselect:n=10,h=6",
+                "egskew:n=10,h=6",
+                "gskew:n=10,h=6,update=total",
+                "gskew:n=10,h=6,banks=5",
+                "gskew:n=10,h=6,skew=off",
+            ]
+            .map(String::from),
+        ),
+        case(
+            "counters",
+            (6..=14)
+                .step_by(2)
+                .map(|n| format!("gskew:n={n},h=4,ctr=1,update=total"))
+                .chain([
+                    "gshare:n=10,h=4,ctr=1".into(),
+                    "gskew:n=10,h=4,ctr=3".into(),
+                ]),
+        ),
+        case(
+            "antialias",
+            [4, 8, 12].into_iter().flat_map(|h| {
+                [
+                    format!("agree:n=13,h={h},bias=12"),
+                    format!("bimode:n=12,h={h},choice=12"),
+                ]
+            }),
+        ),
+        case(
+            "pas",
+            (8..=14).step_by(2).flat_map(|n| {
+                [
+                    format!("pas:bht=10,l=8,n={n}"),
+                    format!("spas:bht=10,l=8,n={n}"),
+                ]
+            }),
+        ),
+        case(
+            "hybrid",
+            [4, 10, 16].into_iter().flat_map(|h| {
+                [
+                    format!("2bcgskew:n=12,h={h}"),
+                    format!("mcfarling:n=12,h={h}"),
+                ]
+            }),
+        ),
+        case(
+            "shgskew",
+            (8..=14).step_by(2).map(|n| format!("shgskew:n={n},h=6")),
+        ),
+        case(
+            "ideal",
+            [4, 12]
+                .into_iter()
+                .flat_map(|h| [format!("ideal:h={h},ctr=1"), format!("ideal:h={h}")]),
+        ),
+        case(
+            "falru",
+            (6..=14)
+                .step_by(2)
+                .map(|n| format!("falru:cap={},h=4", 1u64 << n)),
+        ),
+        case(
+            "setassoc",
+            (6..=10)
+                .step_by(2)
+                .map(|n| format!("setassoc:n={n},ways=4,h=4,miss=nottaken")),
+        ),
     ]
+}
+
+/// A predictor whose trait impl forwards everything *but* `step`, so the
+/// engine runs the default predict-then-update step: the unfused
+/// reference of the race.
+#[derive(Debug, Clone)]
+pub struct Unfused<P>(pub P);
+
+impl<P: BranchPredictor> BranchPredictor for Unfused<P> {
+    fn predict(&mut self, pc: u64) -> Prediction {
+        self.0.predict(pc)
+    }
+
+    fn update(&mut self, pc: u64, outcome: Outcome) {
+        self.0.update(pc, outcome);
+    }
+
+    fn record_unconditional(&mut self, pc: u64) {
+        self.0.record_unconditional(pc);
+    }
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn storage_bits(&self) -> u64 {
+        self.0.storage_bits()
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// Simulate one concrete predictor, fused or behind [`Unfused`], timing
+/// the run alone.
+struct Race<'a> {
+    columns: &'a TraceColumns,
+    fused: bool,
+}
+
+impl Visit for Race<'_> {
+    type Output = (RunResult, f64);
+
+    fn visit<P: BranchPredictor + 'static>(self, predictor: P) -> (RunResult, f64) {
+        let start = Instant::now();
+        let result = if self.fused {
+            let mut predictor = predictor;
+            engine::simulate(
+                &mut predictor,
+                self.columns,
+                Mode::Plain,
+                NovelPolicy::Count,
+            )
+        } else {
+            let mut predictor = Unfused(predictor);
+            engine::simulate(
+                &mut predictor,
+                self.columns,
+                Mode::Plain,
+                NovelPolicy::Count,
+            )
+        };
+        (result.result, start.elapsed().as_secs_f64())
+    }
 }
 
 /// The timing of one [`BenchCase`] across all workloads.
@@ -80,32 +212,29 @@ pub struct CaseMeasurement {
     /// Record applications per path (records × specs, summed over
     /// workloads).
     pub applications: u64,
-    /// CPU seconds spent in the dyn pass.
-    pub dyn_seconds: f64,
-    /// CPU seconds spent in the kernels (summed across workers).
-    pub kernel_seconds: f64,
-    /// Whether every kernel result matched the dyn result bit for bit.
+    /// CPU seconds of the unfused (predict-then-update) runs, fastest
+    /// round per spec, summed.
+    pub unfused_seconds: f64,
+    /// CPU seconds of the fused runs, fastest round per spec, summed.
+    pub fused_seconds: f64,
+    /// Whether every fused result matched the unfused result bit for bit.
     pub matched: bool,
 }
 
 impl CaseMeasurement {
-    /// Dyn-path throughput in record applications per second.
-    pub fn dyn_rate(&self) -> f64 {
-        rate(self.applications, self.dyn_seconds)
+    /// Unfused throughput in record applications per second.
+    pub fn unfused_rate(&self) -> f64 {
+        rate(self.applications, self.unfused_seconds)
     }
 
-    /// Kernel-path throughput in record applications per second.
-    pub fn kernel_rate(&self) -> f64 {
-        rate(self.applications, self.kernel_seconds)
+    /// Fused throughput in record applications per second.
+    pub fn fused_rate(&self) -> f64 {
+        rate(self.applications, self.fused_seconds)
     }
 
-    /// Kernel speedup over the dyn path (CPU-time ratio).
+    /// Fused speedup over unfused (CPU-time ratio).
     pub fn speedup(&self) -> f64 {
-        if self.kernel_seconds == 0.0 {
-            0.0
-        } else {
-            self.dyn_seconds / self.kernel_seconds
-        }
+        ratio(self.unfused_seconds, self.fused_seconds)
     }
 }
 
@@ -114,6 +243,14 @@ fn rate(applications: u64, seconds: f64) -> f64 {
         0.0
     } else {
         applications as f64 / seconds
+    }
+}
+
+fn ratio(slow: f64, fast: f64) -> f64 {
+    if fast == 0.0 {
+        0.0
+    } else {
+        slow / fast
     }
 }
 
@@ -261,26 +398,29 @@ impl BenchReport {
         self.cases.iter().map(|c| c.applications).sum()
     }
 
-    /// Total dyn CPU seconds.
-    pub fn dyn_seconds(&self) -> f64 {
-        self.cases.iter().map(|c| c.dyn_seconds).sum()
+    /// Total unfused CPU seconds.
+    pub fn unfused_seconds(&self) -> f64 {
+        self.cases.iter().map(|c| c.unfused_seconds).sum()
     }
 
-    /// Total kernel CPU seconds.
-    pub fn kernel_seconds(&self) -> f64 {
-        self.cases.iter().map(|c| c.kernel_seconds).sum()
+    /// Total fused CPU seconds.
+    pub fn fused_seconds(&self) -> f64 {
+        self.cases.iter().map(|c| c.fused_seconds).sum()
     }
 
-    /// Overall kernel speedup (total CPU-time ratio).
+    /// Overall fused speedup (total CPU-time ratio).
     pub fn speedup(&self) -> f64 {
-        if self.kernel_seconds() == 0.0 {
-            0.0
-        } else {
-            self.dyn_seconds() / self.kernel_seconds()
-        }
+        ratio(self.unfused_seconds(), self.fused_seconds())
     }
 
-    /// Whether every case's kernel results matched the dyn results.
+    /// The case with the lowest speedup, if any case ran.
+    pub fn slowest_case(&self) -> Option<&CaseMeasurement> {
+        self.cases
+            .iter()
+            .min_by(|a, b| a.speedup().total_cmp(&b.speedup()))
+    }
+
+    /// Whether every case's fused results matched the unfused results.
     pub fn all_matched(&self) -> bool {
         self.cases.iter().all(|c| c.matched)
     }
@@ -288,7 +428,7 @@ impl BenchReport {
     /// The JSON document written to `BENCH_kernels.json`.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("version", Json::Num(1.0)),
+            ("version", Json::Num(2.0)),
             ("quick", Json::Bool(self.quick)),
             (
                 "len_cap",
@@ -307,10 +447,10 @@ impl BenchReport {
                                 ("name", Json::Str(c.name.to_string())),
                                 ("specs", Json::Num(c.specs as f64)),
                                 ("applications", Json::Num(c.applications as f64)),
-                                ("dyn_seconds", Json::Num(c.dyn_seconds)),
-                                ("kernel_seconds", Json::Num(c.kernel_seconds)),
-                                ("dyn_rate", Json::Num(c.dyn_rate())),
-                                ("kernel_rate", Json::Num(c.kernel_rate())),
+                                ("unfused_seconds", Json::Num(c.unfused_seconds)),
+                                ("fused_seconds", Json::Num(c.fused_seconds)),
+                                ("unfused_rate", Json::Num(c.unfused_rate())),
+                                ("fused_rate", Json::Num(c.fused_rate())),
                                 ("speedup", Json::Num(c.speedup())),
                                 ("matched", Json::Bool(c.matched)),
                             ])
@@ -329,9 +469,13 @@ impl BenchReport {
                 "overall",
                 Json::obj(vec![
                     ("applications", Json::Num(self.applications() as f64)),
-                    ("dyn_seconds", Json::Num(self.dyn_seconds())),
-                    ("kernel_seconds", Json::Num(self.kernel_seconds())),
+                    ("unfused_seconds", Json::Num(self.unfused_seconds())),
+                    ("fused_seconds", Json::Num(self.fused_seconds())),
                     ("speedup", Json::Num(self.speedup())),
+                    (
+                        "min_case_speedup",
+                        Json::Num(self.slowest_case().map_or(0.0, CaseMeasurement::speedup)),
+                    ),
                     ("matched", Json::Bool(self.all_matched())),
                 ]),
             ),
@@ -339,74 +483,74 @@ impl BenchReport {
     }
 }
 
-/// Race `cases` over the six IBS-like workloads, dyn pass vs kernels.
+/// Race `cases` over the six IBS-like workloads, fused vs unfused,
+/// [`RACE_ROUNDS`] times per spec.
 ///
 /// `quick` caps every trace at [`QUICK_LEN_CAP`] conditional branches
-/// (the quick-campaign lengths); `threads` bounds the kernel workers —
-/// timing is per-run CPU seconds either way, so the speedup does not
-/// depend on it.
+/// (the quick-campaign lengths); `threads` bounds the workers — timing
+/// is per-run CPU seconds either way, so the speedup does not depend on
+/// it.
 ///
 /// # Panics
 ///
-/// Panics if a case holds an invalid spec or one without a kernel fast
-/// path — the case lists are bench-owned, so that is a bug, not input.
+/// Panics if a case holds an invalid spec — the case lists are
+/// bench-owned, so that is a bug, not input.
 pub fn run(cases: &[BenchCase], quick: bool, threads: usize) -> BenchReport {
     let seed = workload_seed();
     let mut measurements = Vec::with_capacity(cases.len());
     for case in cases {
-        let mut applications = 0u64;
-        let mut dyn_seconds = 0.0;
-        let mut kernel_seconds = 0.0;
-        let mut matched = true;
+        let specs: Vec<PredictorSpec> = case
+            .specs
+            .iter()
+            .map(|s| {
+                PredictorSpec::parse(s).unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}"))
+            })
+            .collect();
+        let mut measurement = CaseMeasurement {
+            name: case.name,
+            specs: specs.len(),
+            applications: 0,
+            unfused_seconds: 0.0,
+            fused_seconds: 0.0,
+            matched: true,
+        };
         for bench in IbsBenchmark::all() {
             let len = if quick {
                 bench.default_len().min(QUICK_LEN_CAP)
             } else {
                 bench.default_len()
             };
-            let trace = cache::materialize_seeded(bench, len, seed);
-            let cols = cache::columns_seeded(bench, len, seed);
-            applications += trace.len() as u64 * case.specs.len() as u64;
-
-            let mut predictors: Vec<_> = case
-                .specs
-                .iter()
-                .map(|s| parse_spec(s).unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}")))
-                .collect();
-            let start = Instant::now();
-            let dyn_results = engine::run_many(&mut predictors, &trace, NovelPolicy::Count);
-            dyn_seconds += start.elapsed().as_secs_f64();
-
-            let kernels: Vec<PredictorKernel> = case
-                .specs
-                .iter()
-                .map(|s| {
-                    PredictorKernel::from_spec(
-                        &bpred_core::spec::PredictorSpec::parse(s)
-                            .unwrap_or_else(|e| panic!("bad bench spec `{s}`: {e}")),
-                    )
-                    .unwrap_or_else(|| panic!("bench spec `{s}` has no kernel"))
-                })
-                .collect();
-            let cols = &cols;
-            let timed: Vec<_> = parallel_map(kernels, threads, move |mut kernel| {
-                let start = Instant::now();
-                let result = kernel.run(cols);
-                (result, start.elapsed().as_secs_f64())
+            let columns = cache::columns_seeded(bench, len, seed);
+            measurement.applications += columns.len() as u64 * specs.len() as u64;
+            let columns = &columns;
+            // Each spec races both ways inside one task, alternating, so
+            // the pair sees the same machine state; the fastest of
+            // `RACE_ROUNDS` runs per side discounts interference from
+            // other processes.
+            let raced = parallel_map(specs.clone(), threads, move |spec| {
+                let run = |fused| {
+                    spec.concrete()
+                        .unwrap_or_else(|e| panic!("bad bench spec `{spec:?}`: {e}"))
+                        .visit(Race { columns, fused })
+                };
+                let (mut unfused_s, mut fused_s) = (f64::MAX, f64::MAX);
+                let mut matched = true;
+                for _ in 0..RACE_ROUNDS {
+                    let (unfused, u) = run(false);
+                    let (fused, f) = run(true);
+                    matched &= fused == unfused;
+                    unfused_s = unfused_s.min(u);
+                    fused_s = fused_s.min(f);
+                }
+                (matched, unfused_s, fused_s)
             });
-            for ((kernel_result, seconds), dyn_result) in timed.into_iter().zip(dyn_results) {
-                kernel_seconds += seconds;
-                matched &= kernel_result == dyn_result;
+            for (matched, unfused_s, fused_s) in raced {
+                measurement.unfused_seconds += unfused_s;
+                measurement.fused_seconds += fused_s;
+                measurement.matched &= matched;
             }
         }
-        measurements.push(CaseMeasurement {
-            name: case.name,
-            specs: case.specs.len(),
-            applications,
-            dyn_seconds,
-            kernel_seconds,
-            matched,
-        });
+        measurements.push(measurement);
     }
     BenchReport {
         quick,
@@ -426,16 +570,13 @@ mod tests {
             name: "tiny",
             specs: vec!["gshare:n=8,h=4".into(), "gskew:n=8,h=4".into()],
         }];
-        // Exercise the full path on one tiny case; `quick` lengths are
-        // still too slow for a unit test, so shrink through the cache
-        // seed-length axis by racing on the quick cap directly.
         let report = run(&cases, true, 2);
         assert_eq!(report.cases.len(), 1);
         let case = &report.cases[0];
-        assert!(case.matched, "kernel diverged from the dyn engine");
+        assert!(case.matched, "fused step diverged from predict-then-update");
         assert!(case.applications > 0);
-        assert!(case.dyn_seconds > 0.0);
-        assert!(case.kernel_seconds > 0.0);
+        assert!(case.unfused_seconds > 0.0);
+        assert!(case.fused_seconds > 0.0);
         let doc = report.to_json();
         let text = doc.to_string_compact();
         let parsed = Json::parse(&text).unwrap();
@@ -443,6 +584,38 @@ mod tests {
         let overall = parsed.get("overall").unwrap();
         assert_eq!(overall.get("matched").unwrap(), &Json::Bool(true));
         assert!(overall.get("speedup").unwrap().as_f64().unwrap() > 0.0);
+        assert!(overall.get("min_case_speedup").unwrap().as_f64().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn unfused_runs_the_default_step() {
+        // A predictor whose override disagrees with its predict/update
+        // pair: through `Unfused` the default step must run instead.
+        struct Odd(u64);
+        impl BranchPredictor for Odd {
+            fn predict(&mut self, _pc: u64) -> Prediction {
+                Prediction::of(Outcome::Taken)
+            }
+            fn update(&mut self, _pc: u64, _outcome: Outcome) {
+                self.0 += 1;
+            }
+            fn step(&mut self, _pc: u64, _outcome: Outcome) -> Prediction {
+                Prediction::of(Outcome::NotTaken)
+            }
+            fn name(&self) -> String {
+                "odd".into()
+            }
+            fn storage_bits(&self) -> u64 {
+                0
+            }
+            fn reset(&mut self) {}
+        }
+        let mut unfused = Unfused(Odd(0));
+        assert_eq!(
+            unfused.step(0x40, Outcome::NotTaken).outcome,
+            Outcome::Taken
+        );
+        assert_eq!(unfused.0 .0, 1);
     }
 
     #[test]
@@ -487,16 +660,25 @@ mod tests {
     }
 
     #[test]
-    fn default_cases_are_kernel_eligible() {
-        for case in default_cases() {
-            for spec in &case.specs {
-                let parsed = bpred_core::spec::PredictorSpec::parse(spec).unwrap();
-                assert!(
-                    PredictorKernel::from_spec(&parsed).is_some(),
-                    "{spec} in case {} lacks a kernel",
-                    case.name
-                );
-            }
-        }
+    fn default_cases_cover_every_fused_family() {
+        let specs: Vec<PredictorSpec> = default_cases()
+            .iter()
+            .flat_map(|c| c.specs.iter().map(|s| PredictorSpec::parse(s).unwrap()))
+            .collect();
+        let has = |pred: fn(&PredictorSpec) -> bool| specs.iter().any(pred);
+        assert!(has(|s| matches!(s, PredictorSpec::Bimodal { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Gshare { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Gselect { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Gskew { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Agree { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::BiMode { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Pas { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Spas { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Ideal { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Falru { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::SetAssoc { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::McFarling { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::Shgskew { .. })));
+        assert!(has(|s| matches!(s, PredictorSpec::TwoBcGskew { .. })));
     }
 }

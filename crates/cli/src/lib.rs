@@ -23,7 +23,7 @@
 mod args;
 
 use args::Args;
-use bpred_core::spec::parse_spec;
+use bpred_core::spec::{parse_spec, PredictorSpec};
 use bpred_results::campaign::CampaignArtifact;
 use bpred_results::store::{self, ResultsStore};
 use bpred_sim::engine;
@@ -73,7 +73,7 @@ Global options:
                      memoizing materialized traces (streaming memory profile)
   --verbose          print trace-cache, results-store and engine-throughput
                      summaries (hits/misses, cells skipped/simulated/saved,
-                     records/sec on the kernel and dyn simulation paths)
+                     records/sec of concrete-type and dyn engine runs)
 
 Environment:
   GSKEW_THREADS      default worker-thread count for parallel sweeps
@@ -317,7 +317,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return Err("run needs --pred <spec> or an experiment id".into());
     };
     // Validate the spec once up front for a friendly error.
-    parse_spec(spec).map_err(|e| e.to_string())?;
+    let structured = PredictorSpec::parse(spec).map_err(|e| e.to_string())?;
+    let name = structured.build().map_err(|e| e.to_string())?.name();
     let benches = benches_from(args)?;
     let len_override = args.option_u64("len")?;
     let seed = experiments::workload_seed();
@@ -330,17 +331,18 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         for bench in benches {
             let len = len_override.unwrap_or_else(|| bench.default_len());
             let window = (len / windows).max(1);
-            let mut predictor = parse_spec(spec).map_err(|e| e.to_string())?;
-            let rates = engine::run_windowed(
-                &mut predictor,
-                trace_cache::stream_seeded(bench, len, seed),
-                window,
+            let rates = engine::simulate_spec(
+                &structured,
+                &trace_cache::columns_seeded(bench, len, seed),
+                engine::Mode::Windowed(window),
                 engine::NovelPolicy::Count,
-            );
+            )
+            .map_err(|e| e.to_string())?
+            .windows;
             println!(
                 "{} — {} ({} windows of {} branches, mispredict %):",
                 bench.name(),
-                predictor.name(),
+                name,
                 rates.len(),
                 window
             );
@@ -355,8 +357,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     );
     for bench in benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
-        let mut predictor = parse_spec(spec).map_err(|e| e.to_string())?;
-        let result = engine::run(&mut predictor, trace_cache::stream_seeded(bench, len, seed));
+        let result = engine::simulate_spec(
+            &structured,
+            &trace_cache::columns_seeded(bench, len, seed),
+            engine::Mode::Plain,
+            engine::NovelPolicy::Count,
+        )
+        .map_err(|e| e.to_string())?
+        .result;
         println!(
             "{:<12} {:>12} {:>12} {:>9.2}%",
             bench.name(),
@@ -387,9 +395,8 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         print!(" {:>10}", b.name());
     }
     println!(" {:>10}", "mean");
-    // One materialized trace per benchmark; specs with a kernel fast
-    // path run as monomorphized loops over the shared column view, the
-    // rest ride one batched dyn pass.
+    // One materialized trace per benchmark; every spec runs as its
+    // concrete predictor type over the shared column view.
     let mut per_spec_pcts = vec![Vec::new(); specs.len()];
     for &bench in &benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
@@ -437,12 +444,15 @@ fn cmd_duel(args: &Args) -> Result<(), String> {
     );
     for bench in benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
-        let mut a = parse_spec(spec_a).map_err(|e| e.to_string())?;
-        let mut b = parse_spec(spec_b).map_err(|e| e.to_string())?;
+        let concrete = |spec: &str| {
+            PredictorSpec::parse(spec)
+                .and_then(|p| p.concrete())
+                .map_err(|e| e.to_string())
+        };
         let r = duel(
-            &mut a,
-            &mut b,
-            bench.spec_seeded(seed).build().take_conditionals(len),
+            concrete(spec_a)?,
+            concrete(spec_b)?,
+            &trace_cache::columns_seeded(bench, len, seed),
             NovelPolicy::Count,
         );
         let verdict = if r.b_significantly_better() {
@@ -481,9 +491,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     }
     println!();
     const HISTORIES: std::ops::RangeInclusive<u32> = 0..=16;
-    // All 17 history lengths ride one pass per benchmark: kernels over
-    // the shared column view where supported, one batched dyn pass for
-    // the rest.
+    // All 17 history lengths share one materialized trace per benchmark.
     let specs: Vec<String> = HISTORIES
         .map(|h| template.replace("{h}", &h.to_string()))
         .collect();
@@ -543,7 +551,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 
     println!(
         "{:<16} {:>6} {:>14} {:>12} {:>12} {:>9}  match",
-        "case", "specs", "record-apps", "dyn M/s", "kernel M/s", "speedup"
+        "case", "specs", "record-apps", "unfused M/s", "fused M/s", "speedup"
     );
     for case in &report.cases {
         println!(
@@ -551,8 +559,8 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             case.name,
             case.specs,
             case.applications,
-            case.dyn_rate() / 1e6,
-            case.kernel_rate() / 1e6,
+            case.unfused_rate() / 1e6,
+            case.fused_rate() / 1e6,
             case.speedup(),
             if case.matched { "ok" } else { "MISMATCH" },
         );
@@ -570,10 +578,10 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         );
     }
     println!(
-        "overall: {} record applications, dyn {:.2}s vs kernel {:.2}s CPU -> {:.2}x speedup",
+        "overall: {} record applications, unfused {:.2}s vs fused {:.2}s CPU -> {:.2}x speedup",
         report.applications(),
-        report.dyn_seconds(),
-        report.kernel_seconds(),
+        report.unfused_seconds(),
+        report.fused_seconds(),
         report.speedup()
     );
     store::write_atomic(
@@ -583,13 +591,16 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     println!("wrote {out}");
 
     if !report.all_matched() {
-        return Err("kernel results diverged from the dyn engine (see MISMATCH rows)".into());
+        return Err("fused steps diverged from predict-then-update (see MISMATCH rows)".into());
     }
-    if report.speedup() < min_speedup {
-        return Err(format!(
-            "kernel speedup {:.2}x is below the required {min_speedup}x",
-            report.speedup()
-        ));
+    if let Some(slowest) = report.slowest_case() {
+        if slowest.speedup() < min_speedup {
+            return Err(format!(
+                "case `{}`: fused speedup {:.2}x is below the required {min_speedup}x",
+                slowest.name,
+                slowest.speedup()
+            ));
+        }
     }
     if let Some(a) = &report.aliasing {
         if !a.matched {

@@ -21,7 +21,6 @@ use crate::error::ConfigError;
 use crate::history::GlobalHistory;
 use crate::index::IndexFunction;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
-use crate::vector::InfoVector;
 
 /// The agree predictor: gshare-indexed agreement counters over a
 /// per-address bias bit.
@@ -102,8 +101,7 @@ impl Agree {
 
     #[inline]
     fn counter_index(&self, pc: u64) -> u64 {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        IndexFunction::Gshare.index(&v, self.n)
+        IndexFunction::Gshare.index(&self.history.vector(pc), self.n)
     }
 
     /// The current bias direction for `pc` (default taken when unset,
@@ -126,6 +124,12 @@ impl BranchPredictor for Agree {
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let predicted_bias = self.bias_for(pc);
         let i = self.bias_index(pc);
         if !self.bias_valid[i] {
             // First execution allocates the bias bit with the outcome —
@@ -135,8 +139,16 @@ impl BranchPredictor for Agree {
         }
         let bias = Outcome::from(self.bias[i]);
         let idx = self.counter_index(pc);
-        self.counters.train(idx, Outcome::from(outcome == bias));
+        let agrees = self
+            .counters
+            .predict_train(idx, Outcome::from(outcome == bias))
+            .is_taken();
         self.history.push(outcome);
+        Prediction::of(if agrees {
+            predicted_bias
+        } else {
+            predicted_bias.flipped()
+        })
     }
 
     fn record_unconditional(&mut self, _pc: u64) {

@@ -15,11 +15,11 @@
 
 use crate::counter::{CounterKind, SatCounter};
 use crate::error::ConfigError;
+use crate::hash::PairMap;
 use crate::history::GlobalHistory;
 use crate::index::IndexFunction;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
 use crate::vector::InfoVector;
-use std::collections::HashMap;
 
 /// Modeled tag width in bits for storage accounting: a 30-bit partial
 /// address tag, as a generous real-hardware estimate.
@@ -73,7 +73,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct FullyAssociative {
     capacity: usize,
-    map: HashMap<(u64, u64), usize>,
+    map: PairMap<usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize,
@@ -107,7 +107,7 @@ impl FullyAssociative {
         }
         Ok(FullyAssociative {
             capacity,
-            map: HashMap::with_capacity(capacity),
+            map: PairMap::with_capacity_and_hasher(capacity, Default::default()),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -146,7 +146,7 @@ impl FullyAssociative {
 
     #[inline]
     fn key(&self, pc: u64) -> (u64, u64) {
-        InfoVector::new(pc, self.history.value(), self.history.len()).pair()
+        self.history.vector(pc).pair()
     }
 
     fn unlink(&mut self, i: usize) {
@@ -220,14 +220,24 @@ impl BranchPredictor for FullyAssociative {
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
         let key = self.key(pc);
-        if let Some(&i) = self.map.get(&key) {
-            self.nodes[i].counter.train(outcome);
+        let prediction = if let Some(&i) = self.map.get(&key) {
+            let counter = &mut self.nodes[i].counter;
+            let predicted = counter.predict();
+            counter.train(outcome);
             self.touch(i);
+            Prediction::of(predicted)
         } else {
             self.insert(key, SatCounter::seeded(self.kind, outcome));
-        }
+            Prediction::novel(self.miss_policy.outcome())
+        };
         self.history.push(outcome);
+        prediction
     }
 
     fn record_unconditional(&mut self, _pc: u64) {
@@ -362,32 +372,43 @@ impl BranchPredictor for SetAssociative {
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
         let (set, key) = self.locate(pc);
         self.tick += 1;
         let tick = self.tick;
         let ways = self.ways;
         let kind = self.kind;
         let set = &mut self.table[set];
-        if let Some(w) = set.iter_mut().find(|w| w.key == key) {
+        let prediction = if let Some(w) = set.iter_mut().find(|w| w.key == key) {
+            let predicted = w.counter.predict();
             w.counter.train(outcome);
             w.stamp = tick;
-        } else if set.len() < ways {
-            set.push(Way {
-                key,
-                counter: SatCounter::seeded(kind, outcome),
-                stamp: tick,
-            });
+            Prediction::of(predicted)
         } else {
-            // Replace the least recently used way.
-            let victim = set
-                .iter_mut()
-                .min_by_key(|w| w.stamp)
-                .expect("nonzero ways");
-            victim.key = key;
-            victim.counter = SatCounter::seeded(kind, outcome);
-            victim.stamp = tick;
-        }
+            if set.len() < ways {
+                set.push(Way {
+                    key,
+                    counter: SatCounter::seeded(kind, outcome),
+                    stamp: tick,
+                });
+            } else {
+                // Replace the least recently used way.
+                let victim = set
+                    .iter_mut()
+                    .min_by_key(|w| w.stamp)
+                    .expect("nonzero ways");
+                victim.key = key;
+                victim.counter = SatCounter::seeded(kind, outcome);
+                victim.stamp = tick;
+            }
+            Prediction::novel(self.miss_policy.outcome())
+        };
         self.history.push(outcome);
+        prediction
     }
 
     fn record_unconditional(&mut self, _pc: u64) {

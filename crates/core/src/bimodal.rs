@@ -61,6 +61,11 @@ impl BranchPredictor for Bimodal {
         self.inner.update(pc, outcome);
     }
 
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        self.inner.step_with(IndexFunction::Bimodal, pc, outcome)
+    }
+
     fn name(&self) -> String {
         format!(
             "bimodal {} {}",

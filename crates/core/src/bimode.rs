@@ -8,12 +8,11 @@
 //! neutral — the same destructive-to-harmless conversion as the agree
 //! predictor, without bias bits.
 
-use crate::counter::{CounterKind, CounterTable};
+use crate::counter::{CounterBanks, CounterKind, CounterTable};
 use crate::error::ConfigError;
 use crate::history::GlobalHistory;
 use crate::index::IndexFunction;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
-use crate::vector::InfoVector;
 
 /// The bi-mode predictor: a choice table and two direction banks.
 ///
@@ -32,7 +31,7 @@ pub struct BiMode {
     /// Per-address choice counters: taken = "use the taken bank".
     choice: CounterTable,
     /// Direction banks: `[not-taken population, taken population]`.
-    banks: [CounterTable; 2],
+    banks: CounterBanks,
     history: GlobalHistory,
     n: u32,
     choice_n: u32,
@@ -76,10 +75,7 @@ impl BiMode {
         }
         Ok(BiMode {
             choice: CounterTable::new(choice_entries_log2, kind),
-            banks: [
-                CounterTable::new(entries_log2, kind),
-                CounterTable::new(entries_log2, kind),
-            ],
+            banks: CounterBanks::new(2, entries_log2, kind),
             history: GlobalHistory::new(history_bits),
             n: entries_log2,
             choice_n: choice_entries_log2,
@@ -93,29 +89,36 @@ impl BiMode {
 
     #[inline]
     fn direction_index(&self, pc: u64) -> u64 {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        IndexFunction::Gshare.index(&v, self.n)
+        IndexFunction::Gshare.index(&self.history.vector(pc), self.n)
     }
 
+    /// The bank the choice table selects for `pc`.
     #[inline]
-    fn components(&self, pc: u64) -> (usize, u64, Outcome) {
-        let bank = usize::from(self.choice.predict(self.choice_index(pc)).is_taken());
-        let idx = self.direction_index(pc);
-        let direction = self.banks[bank].predict(idx);
-        (bank, idx, direction)
+    fn selected_bank(&self, pc: u64) -> usize {
+        usize::from(self.choice.predict(self.choice_index(pc)).is_taken())
     }
 }
 
 impl BranchPredictor for BiMode {
     fn predict(&mut self, pc: u64) -> Prediction {
-        Prediction::of(self.components(pc).2)
+        Prediction::of(
+            self.banks
+                .predict(self.selected_bank(pc), self.direction_index(pc)),
+        )
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let (bank, idx, direction) = self.components(pc);
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let bank = self.selected_bank(pc);
         // Only the selected bank trains — the serialization that keeps the
         // two populations separate.
-        self.banks[bank].train(idx, outcome);
+        let direction = self
+            .banks
+            .predict_train(bank, self.direction_index(pc), outcome);
         // The choice table trains with the outcome, EXCEPT when it was
         // overridden successfully: selected bank correct while the choice
         // direction itself disagreed with the outcome.
@@ -125,6 +128,7 @@ impl BranchPredictor for BiMode {
             self.choice.train(self.choice_index(pc), outcome);
         }
         self.history.push(outcome);
+        Prediction::of(direction)
     }
 
     fn record_unconditional(&mut self, _pc: u64) {
@@ -137,18 +141,17 @@ impl BranchPredictor for BiMode {
             1u64 << self.n,
             self.history.len(),
             1u64 << self.choice_n,
-            self.banks[0].kind()
+            self.banks.kind()
         )
     }
 
     fn storage_bits(&self) -> u64 {
-        self.banks[0].storage_bits() + self.banks[1].storage_bits() + self.choice.storage_bits()
+        self.banks.storage_bits() + self.choice.storage_bits()
     }
 
     fn reset(&mut self) {
         self.choice.reset();
-        self.banks[0].reset();
-        self.banks[1].reset();
+        self.banks.reset();
         self.history.clear();
     }
 }

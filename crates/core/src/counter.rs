@@ -173,9 +173,10 @@ fn step(value: u8, max: u8, outcome: Outcome) -> u8 {
 
 /// A dense, power-of-two-sized array of saturating counters.
 ///
-/// This is the storage of one tag-less predictor bank. Counters are stored
-/// as bytes for simulation speed; [`CounterTable::storage_bits`] reports the
-/// hardware cost (`entries * kind.bits()`).
+/// This is the storage of one tag-less predictor bank: a
+/// [`CounterBanks`] of a single bank. Counters are stored as bytes for
+/// simulation speed; [`CounterTable::storage_bits`] reports the hardware
+/// cost (`entries * kind.bits()`).
 ///
 /// Fresh tables boot in the *weakly taken* state: a cold tag-less
 /// predictor then behaves like the static always-taken predictor the
@@ -183,9 +184,7 @@ fn step(value: u8, max: u8, outcome: Outcome) -> u8 {
 /// not-taken for every unseen branch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterTable {
-    kind: CounterKind,
-    mask: u64,
-    cells: Vec<u8>,
+    bank: CounterBanks,
 }
 
 impl CounterTable {
@@ -196,22 +195,15 @@ impl CounterTable {
     /// Panics if `entries_log2 > 30` (a 1-Gi-entry table is assumed to be a
     /// configuration mistake).
     pub fn new(entries_log2: u32, kind: CounterKind) -> Self {
-        assert!(
-            entries_log2 <= 30,
-            "counter table of 2^{entries_log2} entries is unreasonably large"
-        );
-        let len = 1usize << entries_log2;
         CounterTable {
-            kind,
-            mask: (len as u64) - 1,
-            cells: vec![kind.weakly_taken(); len],
+            bank: CounterBanks::new(1, entries_log2, kind),
         }
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.cells.len()
+        1 << self.bank.entries_log2()
     }
 
     /// Always `false`: tables have at least one entry.
@@ -223,7 +215,110 @@ impl CounterTable {
     /// `log2` of the number of entries.
     #[inline]
     pub fn entries_log2(&self) -> u32 {
-        self.cells.len().trailing_zeros()
+        self.bank.entries_log2()
+    }
+
+    /// The automaton width used by every entry.
+    #[inline]
+    pub fn kind(&self) -> CounterKind {
+        self.bank.kind()
+    }
+
+    /// Predict from entry `index` (wrapped into range).
+    #[inline]
+    pub fn predict(&self, index: u64) -> Outcome {
+        self.bank.predict(0, index)
+    }
+
+    /// Train entry `index` with `outcome`.
+    #[inline]
+    pub fn train(&mut self, index: u64, outcome: Outcome) {
+        self.bank.train(0, index, outcome);
+    }
+
+    /// Predict from entry `index`, then train it with `outcome` — the
+    /// fused step of a single-bank predictor. Returns the prediction
+    /// made before training.
+    #[inline]
+    pub fn predict_train(&mut self, index: u64, outcome: Outcome) -> Outcome {
+        self.bank.predict_train(0, index, outcome)
+    }
+
+    /// Raw value of entry `index`, for tests and diagnostics.
+    #[inline]
+    pub fn value(&self, index: u64) -> u8 {
+        self.bank.value(0, index)
+    }
+
+    /// Overwrite entry `index` with a raw value, saturating to the legal
+    /// range. Intended for tests and for seeding experiments.
+    #[inline]
+    pub fn set_value(&mut self, index: u64, value: u8) {
+        self.bank.set_value(0, index, value);
+    }
+
+    /// Hardware storage cost in bits.
+    #[inline]
+    pub fn storage_bits(&self) -> u64 {
+        self.bank.storage_bits()
+    }
+
+    /// Reset every entry to the boot (weakly taken) state.
+    pub fn reset(&mut self) {
+        self.bank.reset();
+    }
+}
+
+/// `banks` equal, power-of-two-sized banks of saturating counters in one
+/// flat allocation: entry `i` of bank `b` lives at
+/// `(b << entries_log2) | i`, so a multi-bank predictor reaches every
+/// bank through one base pointer and no per-bank indirection.
+///
+/// Every bank boots weakly taken, like [`CounterTable`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterBanks {
+    kind: CounterKind,
+    entries_log2: u32,
+    mask: u64,
+    /// `kind.neutral()` and `kind.max_value()`, hoisted out of the hot
+    /// path.
+    neutral: u8,
+    max: u8,
+    cells: Vec<u8>,
+}
+
+impl CounterBanks {
+    /// `banks` banks of `2^entries_log2` counters each, all weakly taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` is zero or `entries_log2 > 30`.
+    pub fn new(banks: usize, entries_log2: u32, kind: CounterKind) -> Self {
+        assert!(banks > 0, "a counter array needs at least one bank");
+        assert!(
+            entries_log2 <= 30,
+            "counter table of 2^{entries_log2} entries is unreasonably large"
+        );
+        CounterBanks {
+            kind,
+            entries_log2,
+            mask: (1u64 << entries_log2) - 1,
+            neutral: kind.neutral(),
+            max: kind.max_value(),
+            cells: vec![kind.weakly_taken(); banks << entries_log2],
+        }
+    }
+
+    /// Number of banks.
+    #[inline]
+    pub fn banks(&self) -> usize {
+        self.cells.len() >> self.entries_log2
+    }
+
+    /// `log2` of the entries per bank.
+    #[inline]
+    pub fn entries_log2(&self) -> u32 {
+        self.entries_log2
     }
 
     /// The automaton width used by every entry.
@@ -232,34 +327,81 @@ impl CounterTable {
         self.kind
     }
 
-    /// Predict from entry `index` (wrapped into range).
     #[inline]
-    pub fn predict(&self, index: u64) -> Outcome {
-        let v = self.cells[(index & self.mask) as usize];
-        Outcome::from(v > self.kind.neutral())
+    fn slot(&self, bank: usize, index: u64) -> usize {
+        (bank << self.entries_log2) | (index & self.mask) as usize
     }
 
-    /// Train entry `index` with `outcome`.
+    /// Predict from entry `index` (wrapped into range) of `bank`.
     #[inline]
-    pub fn train(&mut self, index: u64, outcome: Outcome) {
-        let cell = &mut self.cells[(index & self.mask) as usize];
-        *cell = step(*cell, self.kind.max_value(), outcome);
+    pub fn predict(&self, bank: usize, index: u64) -> Outcome {
+        Outcome::from(self.cells[self.slot(bank, index)] > self.neutral)
     }
 
-    /// Raw value of entry `index`, for tests and diagnostics.
+    /// Train entry `index` of `bank` with `outcome`.
     #[inline]
-    pub fn value(&self, index: u64) -> u8 {
-        self.cells[(index & self.mask) as usize]
+    pub fn train(&mut self, bank: usize, index: u64, outcome: Outcome) {
+        let slot = self.slot(bank, index);
+        self.cells[slot] = step(self.cells[slot], self.max, outcome);
     }
 
-    /// Overwrite entry `index` with a raw value, saturating to the legal
-    /// range. Intended for tests and for seeding experiments.
+    /// Predict from, then train, entry `index` of `bank`; returns the
+    /// prediction made before training.
     #[inline]
-    pub fn set_value(&mut self, index: u64, value: u8) {
-        self.cells[(index & self.mask) as usize] = value.min(self.kind.max_value());
+    pub fn predict_train(&mut self, bank: usize, index: u64, outcome: Outcome) -> Outcome {
+        let slot = self.slot(bank, index);
+        let value = self.cells[slot];
+        self.cells[slot] = step(value, self.max, outcome);
+        Outcome::from(value > self.neutral)
     }
 
-    /// Hardware storage cost in bits.
+    /// One majority-vote step across the first `B` banks, bank `b` read
+    /// at `idx[b]`: returns the majority prediction made before
+    /// training, then trains — every bank, or under `partial` update
+    /// (section 4.1) only the banks that agreed with a *correct*
+    /// majority (a dissenting bank is presumed to serve another
+    /// substream). The shared step of the skewed predictors.
+    #[inline(always)]
+    pub fn vote_step<const B: usize>(
+        &mut self,
+        idx: [u64; B],
+        outcome: Outcome,
+        partial: bool,
+    ) -> Outcome {
+        // Plain loops, not `array::from_fn`/`map`: their closures do not
+        // reliably inline, and this runs once per simulated branch.
+        let mut slots = [0usize; B];
+        let mut values = [0u8; B];
+        for b in 0..B {
+            slots[b] = self.slot(b, idx[b]);
+            values[b] = self.cells[slots[b]];
+        }
+        let taken = values.iter().filter(|&&v| v > self.neutral).count();
+        let overall = Outcome::from(2 * taken > B);
+        let train_all = !partial || overall != outcome;
+        for (slot, value) in slots.into_iter().zip(values) {
+            if train_all || (value > self.neutral) == outcome.is_taken() {
+                self.cells[slot] = step(value, self.max, outcome);
+            }
+        }
+        overall
+    }
+
+    /// Raw value of entry `index` of `bank`, for tests and diagnostics.
+    #[inline]
+    pub fn value(&self, bank: usize, index: u64) -> u8 {
+        self.cells[self.slot(bank, index)]
+    }
+
+    /// Overwrite entry `index` of `bank` with a raw value, saturating to
+    /// the legal range. Intended for tests and for seeding experiments.
+    #[inline]
+    pub fn set_value(&mut self, bank: usize, index: u64, value: u8) {
+        let slot = self.slot(bank, index);
+        self.cells[slot] = value.min(self.max);
+    }
+
+    /// Hardware storage cost in bits, all banks together.
     #[inline]
     pub fn storage_bits(&self) -> u64 {
         self.cells.len() as u64 * u64::from(self.kind.bits())

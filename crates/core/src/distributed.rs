@@ -27,36 +27,6 @@ use crate::gskew::UpdatePolicy;
 use crate::history::GlobalHistory;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
 use crate::skew::skew_index;
-use crate::vector::InfoVector;
-
-/// Bit-vector table of single bits (direction or hysteresis).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct BitTable {
-    bits: Vec<bool>,
-}
-
-impl BitTable {
-    fn new(entries_log2: u32, initial: bool) -> Self {
-        BitTable {
-            bits: vec![initial; 1 << entries_log2],
-        }
-    }
-
-    #[inline]
-    fn get(&self, idx: u64) -> bool {
-        self.bits[idx as usize & (self.bits.len() - 1)]
-    }
-
-    #[inline]
-    fn set(&mut self, idx: u64, value: bool) {
-        let len = self.bits.len();
-        self.bits[idx as usize & (len - 1)] = value;
-    }
-
-    fn reset(&mut self, initial: bool) {
-        self.bits.fill(initial);
-    }
-}
 
 /// Apply one 2-bit saturating-counter step to a (direction, hysteresis)
 /// pair. Encoding: value = direction*2 + hysteresis, so 0..=1 predict
@@ -87,8 +57,12 @@ fn step(direction: bool, hysteresis: bool, outcome: Outcome) -> (bool, bool) {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedHysteresisGskew {
-    direction: Vec<BitTable>,
-    hysteresis: Vec<BitTable>,
+    /// Three banks of `2^n` direction bits, flat: bank `b` starts at
+    /// `b << n`.
+    direction: Vec<bool>,
+    /// Three banks of `2^(n-1)` hysteresis bits, flat: bank `b` starts at
+    /// `b << (n - 1)`.
+    hysteresis: Vec<bool>,
     history: GlobalHistory,
     n: u32,
     policy: UpdatePolicy,
@@ -132,24 +106,22 @@ impl SharedHysteresisGskew {
         }
         Ok(SharedHysteresisGskew {
             // Boot weakly taken: direction 1, hysteresis 0 (value 2).
-            direction: (0..3).map(|_| BitTable::new(entries_log2, true)).collect(),
-            hysteresis: (0..3)
-                .map(|_| BitTable::new(entries_log2 - 1, false))
-                .collect(),
+            direction: vec![true; 3 << entries_log2],
+            hysteresis: vec![false; 3 << (entries_log2 - 1)],
             history: GlobalHistory::new(history_bits),
             n: entries_log2,
             policy,
         })
     }
 
+    /// The flat direction slot of every bank for `pc` under the current
+    /// history; a slot's hysteresis bit is at `slot >> 1` (banks are
+    /// aligned, so halving keeps bank `b` at `b << (n - 1)`).
     #[inline]
-    fn indices(&self, pc: u64) -> [u64; 3] {
-        let packed = InfoVector::new(pc, self.history.value(), self.history.len()).packed();
-        [
-            skew_index(0, packed, self.n),
-            skew_index(1, packed, self.n),
-            skew_index(2, packed, self.n),
-        ]
+    fn slots(&self, pc: u64) -> [usize; 3] {
+        let packed = self.history.vector(pc).packed();
+        let slot = |b: usize| (b << self.n) | skew_index(b, packed, self.n) as usize;
+        [slot(0), slot(1), slot(2)]
     }
 
     /// The counter kind this structure emulates.
@@ -160,31 +132,38 @@ impl SharedHysteresisGskew {
 
 impl BranchPredictor for SharedHysteresisGskew {
     fn predict(&mut self, pc: u64) -> Prediction {
-        let idx = self.indices(pc);
-        let taken = (0..3).filter(|&b| self.direction[b].get(idx[b])).count();
+        let taken = self
+            .slots(pc)
+            .iter()
+            .filter(|&&slot| self.direction[slot])
+            .count();
         Prediction::of(Outcome::from(taken >= 2))
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let idx = self.indices(pc);
-        let votes: Vec<bool> = (0..3).map(|b| self.direction[b].get(idx[b])).collect();
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let slots = self.slots(pc);
+        let votes = [
+            self.direction[slots[0]],
+            self.direction[slots[1]],
+            self.direction[slots[2]],
+        ];
         let overall = Outcome::from(votes.iter().filter(|&&v| v).count() >= 2);
-        for bank in 0..3 {
-            let vote = Outcome::from(votes[bank]);
-            let train = match self.policy {
-                UpdatePolicy::Total => true,
-                UpdatePolicy::Partial => overall != outcome || vote == outcome,
-            };
-            if !train {
-                continue;
+        let train_all = self.policy == UpdatePolicy::Total || overall != outcome;
+        for (slot, vote) in slots.into_iter().zip(votes) {
+            if train_all || Outcome::from(vote) == outcome {
+                // Two adjacent direction entries share one hysteresis bit.
+                let (dir, hyst) = step(vote, self.hysteresis[slot >> 1], outcome);
+                self.direction[slot] = dir;
+                self.hysteresis[slot >> 1] = hyst;
             }
-            // Two adjacent direction entries share one hysteresis bit.
-            let hyst_idx = idx[bank] >> 1;
-            let (dir, hyst) = step(votes[bank], self.hysteresis[bank].get(hyst_idx), outcome);
-            self.direction[bank].set(idx[bank], dir);
-            self.hysteresis[bank].set(hyst_idx, hyst);
         }
         self.history.push(outcome);
+        Prediction::of(overall)
     }
 
     fn record_unconditional(&mut self, _pc: u64) {
@@ -207,12 +186,8 @@ impl BranchPredictor for SharedHysteresisGskew {
     }
 
     fn reset(&mut self) {
-        for table in &mut self.direction {
-            table.reset(true);
-        }
-        for table in &mut self.hysteresis {
-            table.reset(false);
-        }
+        self.direction.fill(true);
+        self.hysteresis.fill(false);
         self.history.clear();
     }
 }

@@ -72,6 +72,11 @@ impl BranchPredictor for Gselect {
         self.inner.update(pc, outcome);
     }
 
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        self.inner.step_with(IndexFunction::Gselect, pc, outcome)
+    }
+
     fn record_unconditional(&mut self, pc: u64) {
         self.inner.record_unconditional(pc);
     }

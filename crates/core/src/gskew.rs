@@ -18,7 +18,7 @@
 //! probability. This removes part of the capacity aliasing at long history
 //! lengths.
 
-use crate::counter::{CounterKind, CounterTable};
+use crate::counter::{CounterBanks, CounterKind};
 use crate::error::ConfigError;
 use crate::history::GlobalHistory;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
@@ -84,7 +84,7 @@ impl UpdatePolicy {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gskew {
-    banks: Vec<CounterTable>,
+    banks: CounterBanks,
     history: GlobalHistory,
     n: u32,
     policy: UpdatePolicy,
@@ -198,9 +198,7 @@ impl GskewBuilder {
             ));
         }
         Ok(Gskew {
-            banks: (0..self.banks)
-                .map(|_| CounterTable::new(self.entries_log2, self.kind))
-                .collect(),
+            banks: CounterBanks::new(self.banks, self.entries_log2, self.kind),
             history: GlobalHistory::new(self.history_bits),
             n: self.entries_log2,
             policy: self.policy,
@@ -245,7 +243,7 @@ impl Gskew {
 
     /// Number of banks.
     pub fn num_banks(&self) -> usize {
-        self.banks.len()
+        self.banks.banks()
     }
 
     /// `log2` of per-bank entries.
@@ -270,37 +268,34 @@ impl Gskew {
 
     /// Per-entry automaton width.
     pub fn counter_kind(&self) -> CounterKind {
-        self.banks[0].kind()
+        self.banks.kind()
     }
 
     /// The table index used by `bank` for the branch at `pc` under the
     /// *current* history. Exposed for the aliasing analyses and tests.
     #[inline]
     pub fn bank_index(&self, bank: usize, pc: u64) -> u64 {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        self.bank_index_for(bank, &v)
+        self.bank_index_for(bank, &self.history.vector(pc))
     }
 
     #[inline]
     fn bank_index_for(&self, bank: usize, v: &InfoVector) -> u64 {
-        if bank == 0 && self.enhanced {
-            // Enhanced variant: plain bit truncation of the address.
-            v.addr() & ((1 << self.n) - 1)
-        } else if self.identical_indexing {
-            skew_index(0, v.packed(), self.n)
-        } else {
-            skew_index(bank, v.packed(), self.n)
-        }
+        index_of(
+            bank,
+            v.addr(),
+            v.packed(),
+            self.n,
+            self.enhanced,
+            !self.identical_indexing,
+        )
     }
 
     /// The per-bank votes for `pc` under the current history, in bank
     /// order. Exposed so experiments can inspect vote margins.
     pub fn votes(&self, pc: u64) -> Vec<Outcome> {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        self.banks
-            .iter()
-            .enumerate()
-            .map(|(b, t)| t.predict(self.bank_index_for(b, &v)))
+        let v = self.history.vector(pc);
+        (0..self.num_banks())
+            .map(|b| self.banks.predict(b, self.bank_index_for(b, &v)))
             .collect()
     }
 
@@ -309,66 +304,84 @@ impl Gskew {
     /// is empirically far more reliable than a split one; see the
     /// `ext-confidence` experiment).
     pub fn is_unanimous(&self, pc: u64) -> bool {
-        let votes = self.votes(pc);
-        votes.iter().all(|&v| v == votes[0])
+        let v = self.history.vector(pc);
+        let first = self.banks.predict(0, self.bank_index_for(0, &v));
+        (1..self.num_banks()).all(|b| self.banks.predict(b, self.bank_index_for(b, &v)) == first)
     }
 
     #[inline]
     fn majority(votes_taken: usize, banks: usize) -> Outcome {
         Outcome::from(2 * votes_taken > banks)
     }
+
+    /// The fused step with the bank count and indexing variant fixed at
+    /// compile time: every bank index is computed once, read for the
+    /// vote and trained in place.
+    #[inline(always)]
+    fn step_as<const BANKS: usize, const ENHANCED: bool, const SKEWED: bool>(
+        &mut self,
+        pc: u64,
+        outcome: Outcome,
+    ) -> Prediction {
+        debug_assert_eq!(
+            (self.num_banks(), self.enhanced, !self.identical_indexing),
+            (BANKS, ENHANCED, SKEWED)
+        );
+        let v = self.history.vector(pc);
+        let (addr, packed) = (v.addr(), v.packed());
+        let mut idx = [0u64; BANKS];
+        for (b, i) in idx.iter_mut().enumerate() {
+            *i = index_of(b, addr, packed, self.n, ENHANCED, SKEWED);
+        }
+        let overall = self
+            .banks
+            .vote_step(idx, outcome, self.policy == UpdatePolicy::Partial);
+        self.history.push(outcome);
+        Prediction::of(overall)
+    }
+}
+
+/// The index of `bank` for the vector `(addr, packed)` (its address and
+/// [`InfoVector::packed`] form): the one definition of gskew's bank
+/// hashing. Bank 0 of the enhanced variant truncates the address;
+/// `skewed == false` is the identical-indexing ablation (every bank `f0`).
+#[inline(always)]
+fn index_of(bank: usize, addr: u64, packed: u64, n: u32, enhanced: bool, skewed: bool) -> u64 {
+    if bank == 0 && enhanced {
+        addr & ((1 << n) - 1)
+    } else if skewed {
+        skew_index(bank, packed, n)
+    } else {
+        skew_index(0, packed, n)
+    }
 }
 
 impl BranchPredictor for Gskew {
     fn predict(&mut self, pc: u64) -> Prediction {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        let taken = self
-            .banks
-            .iter()
-            .enumerate()
-            .filter(|(b, t)| t.predict(self.bank_index_for(*b, &v)).is_taken())
+        let v = self.history.vector(pc);
+        let taken = (0..self.num_banks())
+            .filter(|&b| self.banks.predict(b, self.bank_index_for(b, &v)).is_taken())
             .count();
-        Prediction::of(Self::majority(taken, self.banks.len()))
+        Prediction::of(Self::majority(taken, self.num_banks()))
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        let indices: Vec<u64> = (0..self.banks.len())
-            .map(|b| self.bank_index_for(b, &v))
-            .collect();
-        let votes: Vec<Outcome> = self
-            .banks
-            .iter()
-            .zip(&indices)
-            .map(|(t, &i)| t.predict(i))
-            .collect();
-        let taken = votes.iter().filter(|o| o.is_taken()).count();
-        let overall = Self::majority(taken, self.banks.len());
+        self.step(pc, outcome);
+    }
 
-        match self.policy {
-            UpdatePolicy::Total => {
-                for (bank, &idx) in self.banks.iter_mut().zip(&indices) {
-                    bank.train(idx, outcome);
-                }
-            }
-            UpdatePolicy::Partial => {
-                if overall == outcome {
-                    // Overall prediction good: only re-strengthen the banks
-                    // that agreed; a disagreeing bank is presumed to serve
-                    // another substream and is left alone.
-                    for ((bank, &idx), &vote) in self.banks.iter_mut().zip(&indices).zip(&votes) {
-                        if vote == outcome {
-                            bank.train(idx, outcome);
-                        }
-                    }
-                } else {
-                    for (bank, &idx) in self.banks.iter_mut().zip(&indices) {
-                        bank.train(idx, outcome);
-                    }
-                }
-            }
+    #[inline]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        match (self.num_banks(), self.enhanced, !self.identical_indexing) {
+            (3, false, true) => self.step_as::<3, false, true>(pc, outcome),
+            (3, false, false) => self.step_as::<3, false, false>(pc, outcome),
+            (3, true, true) => self.step_as::<3, true, true>(pc, outcome),
+            (3, true, false) => self.step_as::<3, true, false>(pc, outcome),
+            (5, false, true) => self.step_as::<5, false, true>(pc, outcome),
+            (5, false, false) => self.step_as::<5, false, false>(pc, outcome),
+            (5, true, true) => self.step_as::<5, true, true>(pc, outcome),
+            (5, true, false) => self.step_as::<5, true, false>(pc, outcome),
+            (banks, ..) => unreachable!("GskewBuilder admits 3 or 5 banks, not {banks}"),
         }
-        self.history.push(outcome);
     }
 
     fn record_unconditional(&mut self, _pc: u64) {
@@ -379,7 +392,7 @@ impl BranchPredictor for Gskew {
         format!(
             "{} {}x{} h={} {} {}{}",
             if self.enhanced { "egskew" } else { "gskew" },
-            self.banks.len(),
+            self.num_banks(),
             1u64 << self.n,
             self.history.len(),
             self.counter_kind(),
@@ -393,14 +406,78 @@ impl BranchPredictor for Gskew {
     }
 
     fn storage_bits(&self) -> u64 {
-        self.banks.iter().map(CounterTable::storage_bits).sum()
+        self.banks.storage_bits()
     }
 
     fn reset(&mut self) {
-        for bank in &mut self.banks {
-            bank.reset();
-        }
+        self.banks.reset();
         self.history.clear();
+    }
+}
+
+/// A [`Gskew`] whose bank count, enhanced bank 0 and skewing are
+/// compile-time constants. [`Gskew::step`] picks its shape on every call;
+/// a simulation loop over a `GskewOf` compiles the index and vote code
+/// of exactly one shape, with that choice hoisted out of the loop.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GskewOf<const BANKS: usize, const ENHANCED: bool, const SKEWED: bool>(Gskew);
+
+impl<const BANKS: usize, const ENHANCED: bool, const SKEWED: bool>
+    GskewOf<BANKS, ENHANCED, SKEWED>
+{
+    /// Wrap `gskew` when its shape is this type's; hands it back
+    /// otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Returns `gskew` unchanged when its bank count, enhanced flag or
+    /// skewing differ from the type parameters.
+    pub fn new(gskew: Gskew) -> Result<Self, Gskew> {
+        if (gskew.num_banks(), gskew.enhanced, !gskew.identical_indexing)
+            == (BANKS, ENHANCED, SKEWED)
+        {
+            Ok(GskewOf(gskew))
+        } else {
+            Err(gskew)
+        }
+    }
+
+    /// The wrapped predictor.
+    pub fn get(&self) -> &Gskew {
+        &self.0
+    }
+}
+
+impl<const BANKS: usize, const ENHANCED: bool, const SKEWED: bool> BranchPredictor
+    for GskewOf<BANKS, ENHANCED, SKEWED>
+{
+    fn predict(&mut self, pc: u64) -> Prediction {
+        self.0.predict(pc)
+    }
+
+    fn update(&mut self, pc: u64, outcome: Outcome) {
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        self.0.step_as::<BANKS, ENHANCED, SKEWED>(pc, outcome)
+    }
+
+    fn record_unconditional(&mut self, pc: u64) {
+        self.0.record_unconditional(pc);
+    }
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn storage_bits(&self) -> u64 {
+        self.0.storage_bits()
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
     }
 }
 
@@ -512,12 +589,12 @@ mod tests {
             p.bank_index(1, pc),
             p.bank_index(2, pc),
         );
-        p.banks[0].set_value(i0, 3);
-        p.banks[1].set_value(i1, 3);
-        p.banks[2].set_value(i2, 0);
+        p.banks.set_value(0, i0, 3);
+        p.banks.set_value(1, i1, 3);
+        p.banks.set_value(2, i2, 0);
         p.update(pc, Outcome::Taken); // overall correct
-        assert_eq!(p.banks[2].value(i2), 0, "dissenter untouched under partial");
-        assert_eq!(p.banks[0].value(i0), 3);
+        assert_eq!(p.banks.value(2, i2), 0, "dissenter untouched under partial");
+        assert_eq!(p.banks.value(0, i0), 3);
     }
 
     #[test]
@@ -529,11 +606,11 @@ mod tests {
             p.bank_index(1, pc),
             p.bank_index(2, pc),
         );
-        p.banks[0].set_value(i0, 3);
-        p.banks[1].set_value(i1, 3);
-        p.banks[2].set_value(i2, 0);
+        p.banks.set_value(0, i0, 3);
+        p.banks.set_value(1, i1, 3);
+        p.banks.set_value(2, i2, 0);
         p.update(pc, Outcome::Taken);
-        assert_eq!(p.banks[2].value(i2), 1, "dissenter trained under total");
+        assert_eq!(p.banks.value(2, i2), 1, "dissenter trained under total");
     }
 
     #[test]
@@ -546,13 +623,13 @@ mod tests {
             p.bank_index(2, pc),
         );
         // All banks strongly not-taken; outcome taken => overall wrong.
-        p.banks[0].set_value(i0, 0);
-        p.banks[1].set_value(i1, 0);
-        p.banks[2].set_value(i2, 0);
+        p.banks.set_value(0, i0, 0);
+        p.banks.set_value(1, i1, 0);
+        p.banks.set_value(2, i2, 0);
         p.update(pc, Outcome::Taken);
-        assert_eq!(p.banks[0].value(i0), 1);
-        assert_eq!(p.banks[1].value(i1), 1);
-        assert_eq!(p.banks[2].value(i2), 1);
+        assert_eq!(p.banks.value(0, i0), 1);
+        assert_eq!(p.banks.value(1, i1), 1);
+        assert_eq!(p.banks.value(2, i2), 1);
     }
 
     #[test]
@@ -600,11 +677,11 @@ mod tests {
             p.bank_index(1, pc),
             p.bank_index(2, pc),
         );
-        p.banks[0].set_value(i0, 3);
-        p.banks[1].set_value(i1, 3);
-        p.banks[2].set_value(i2, 3);
+        p.banks.set_value(0, i0, 3);
+        p.banks.set_value(1, i1, 3);
+        p.banks.set_value(2, i2, 3);
         assert!(p.is_unanimous(pc));
-        p.banks[2].set_value(i2, 0);
+        p.banks.set_value(2, i2, 0);
         assert!(!p.is_unanimous(pc));
     }
 
@@ -647,8 +724,13 @@ mod tests {
             assert!(votes.iter().all(|&v| v == p.outcome), "banks in lockstep");
             same.update(pc, outcome);
         }
-        assert_eq!(same.banks[0], same.banks[1]);
-        assert_eq!(same.banks[1], same.banks[2]);
+        let bank = |b: usize| {
+            (0..64u64)
+                .map(|i| same.banks.value(b, i))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bank(0), bank(1));
+        assert_eq!(bank(1), bank(2));
         assert!(same.name().ends_with("same-index"));
     }
 

@@ -5,10 +5,30 @@
 //! unconditional branches are also shifted in (as taken).
 
 use crate::predictor::Outcome;
+use crate::vector::InfoVector;
 use std::fmt;
 
 /// Maximum supported history length in bits.
 pub const MAX_HISTORY_BITS: u32 = 64;
+
+/// The mask selecting the low `bits` bits of a history word: 0 for a
+/// zero-length history, all ones from 64 bits up.
+///
+/// ```
+/// use bpred_core::history::history_mask;
+///
+/// assert_eq!(history_mask(0), 0);
+/// assert_eq!(history_mask(4), 0b1111);
+/// assert_eq!(history_mask(64), u64::MAX);
+/// ```
+#[inline]
+pub const fn history_mask(bits: u32) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
 
 /// A global history shift register of up to [`MAX_HISTORY_BITS`] bits.
 ///
@@ -31,6 +51,7 @@ pub const MAX_HISTORY_BITS: u32 = 64;
 pub struct GlobalHistory {
     bits: u64,
     len: u32,
+    mask: u64,
 }
 
 impl GlobalHistory {
@@ -44,7 +65,11 @@ impl GlobalHistory {
             len <= MAX_HISTORY_BITS,
             "history length {len} exceeds {MAX_HISTORY_BITS}"
         );
-        GlobalHistory { bits: 0, len }
+        GlobalHistory {
+            bits: 0,
+            len,
+            mask: history_mask(len),
+        }
     }
 
     /// The register length in bits.
@@ -68,15 +93,13 @@ impl GlobalHistory {
     /// Shift a branch direction into the register.
     #[inline]
     pub fn push(&mut self, outcome: Outcome) {
-        if self.len == 0 {
-            return;
-        }
-        let mask = if self.len == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.len) - 1
-        };
-        self.bits = ((self.bits << 1) | u64::from(outcome.is_taken())) & mask;
+        self.bits = ((self.bits << 1) | u64::from(outcome.is_taken())) & self.mask;
+    }
+
+    /// The information vector of the branch at `pc` under this history.
+    #[inline]
+    pub fn vector(&self, pc: u64) -> InfoVector {
+        InfoVector::from_masked(pc, self.bits, self.len)
     }
 
     /// Clear the register.

@@ -15,7 +15,7 @@
 //!   a misprediction all participating tables are trained; the meta table
 //!   is trained whenever the bimodal and majority predictions disagree.
 
-use crate::counter::{CounterKind, CounterTable};
+use crate::counter::{CounterBanks, CounterKind, CounterTable};
 use crate::error::ConfigError;
 use crate::history::GlobalHistory;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
@@ -30,34 +30,34 @@ use std::fmt;
 /// high counter selects component 1, a low counter component 0. The meta
 /// counter is trained only when the components disagree.
 ///
+/// The components are any two predictors whose `predict` leaves their
+/// state unchanged (true of every predictor in this crate), boxed or
+/// concrete.
+///
 /// ```
 /// use bpred_core::prelude::*;
 ///
 /// let gshare = Gshare::new(10, 8, CounterKind::TwoBit)?;
 /// let bimodal = Bimodal::new(10, CounterKind::TwoBit)?;
-/// let mut p = McFarling::new(Box::new(bimodal), Box::new(gshare), 10)?;
+/// let mut p = McFarling::new(bimodal, gshare, 10)?;
 /// let _ = p.predict(0x1000);
 /// p.update(0x1000, Outcome::Taken);
 /// # Ok::<(), bpred_core::error::ConfigError>(())
 /// ```
-pub struct McFarling {
-    c0: Box<dyn BranchPredictor>,
-    c1: Box<dyn BranchPredictor>,
+pub struct McFarling<A = Box<dyn BranchPredictor>, B = Box<dyn BranchPredictor>> {
+    c0: A,
+    c1: B,
     meta: CounterTable,
     meta_n: u32,
 }
 
-impl McFarling {
+impl<A: BranchPredictor, B: BranchPredictor> McFarling<A, B> {
     /// Combine `c0` and `c1` with a `2^meta_entries_log2`-entry meta table.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if `meta_entries_log2` is 0 or above 30.
-    pub fn new(
-        c0: Box<dyn BranchPredictor>,
-        c1: Box<dyn BranchPredictor>,
-        meta_entries_log2: u32,
-    ) -> Result<Self, ConfigError> {
+    pub fn new(c0: A, c1: B, meta_entries_log2: u32) -> Result<Self, ConfigError> {
         if meta_entries_log2 == 0 || meta_entries_log2 > 30 {
             return Err(ConfigError::invalid(
                 "meta_entries_log2",
@@ -84,7 +84,7 @@ impl McFarling {
     }
 }
 
-impl fmt::Debug for McFarling {
+impl<A: BranchPredictor, B: BranchPredictor> fmt::Debug for McFarling<A, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("McFarling")
             .field("c0", &self.c0.name())
@@ -94,7 +94,7 @@ impl fmt::Debug for McFarling {
     }
 }
 
-impl BranchPredictor for McFarling {
+impl<A: BranchPredictor, B: BranchPredictor> BranchPredictor for McFarling<A, B> {
     fn predict(&mut self, pc: u64) -> Prediction {
         if self.selects_component_1(pc) {
             self.c1.predict(pc)
@@ -104,15 +104,24 @@ impl BranchPredictor for McFarling {
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let p0 = self.c0.predict(pc).outcome;
-        let p1 = self.c1.predict(pc).outcome;
-        if p0 != p1 {
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let select_1 = self.selects_component_1(pc);
+        let p0 = self.c0.step(pc, outcome);
+        let p1 = self.c1.step(pc, outcome);
+        if p0.outcome != p1.outcome {
             // Train the chooser toward whichever component was right.
             self.meta
-                .train(self.meta_index(pc), Outcome::from(p1 == outcome));
+                .train(self.meta_index(pc), Outcome::from(p1.outcome == outcome));
         }
-        self.c0.update(pc, outcome);
-        self.c1.update(pc, outcome);
+        if select_1 {
+            p1
+        } else {
+            p0
+        }
     }
 
     fn record_unconditional(&mut self, pc: u64) {
@@ -143,14 +152,17 @@ impl BranchPredictor for McFarling {
 /// address truncation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TwoBcGskew {
-    bim: CounterTable,
-    g0: CounterTable,
-    g1: CounterTable,
-    meta: CounterTable,
+    /// The four banks, flat: [`BIM`], [`G0`], [`G1`] and [`META`].
+    banks: CounterBanks,
     n: u32,
     history: GlobalHistory,
     short_bits: u32,
 }
+
+const BIM: usize = 0;
+const G0: usize = 1;
+const G1: usize = 2;
+const META: usize = 3;
 
 impl TwoBcGskew {
     /// A 4x`2^n`-entry 2bc-gskew with `history_bits` of global history.
@@ -170,87 +182,82 @@ impl TwoBcGskew {
                 "must be at most 64",
             ));
         }
-        let kind = CounterKind::TwoBit;
         Ok(TwoBcGskew {
-            bim: CounterTable::new(n, kind),
-            g0: CounterTable::new(n, kind),
-            g1: CounterTable::new(n, kind),
-            meta: CounterTable::new(n, kind),
+            banks: CounterBanks::new(4, n, CounterKind::TwoBit),
             n,
             history: GlobalHistory::new(history_bits),
             short_bits: history_bits / 2,
         })
     }
 
+    /// The bimodal/meta, G0 and G1 indices of `pc` under the current
+    /// history.
     #[inline]
-    fn addr_index(&self, pc: u64) -> u64 {
-        (pc >> 2) & ((1 << self.n) - 1)
-    }
-
-    #[inline]
-    fn indices(&self, pc: u64) -> (u64, u64, u64) {
+    fn indices(&self, pc: u64) -> [u64; 3] {
         let hist = self.history.value();
         let short = InfoVector::new(pc, hist, self.short_bits);
-        let long = InfoVector::new(pc, hist, self.history.len());
-        (
-            self.addr_index(pc),
+        let long = self.history.vector(pc);
+        [
+            (pc >> 2) & ((1 << self.n) - 1),
             skew_index(1, short.packed(), self.n),
             skew_index(2, long.packed(), self.n),
-        )
+        ]
+    }
+
+    /// The bimodal, G0 and G1 votes, whether the meta bank selects the
+    /// majority, and the overall prediction.
+    #[inline]
+    fn components(&self, [ib, i0, i1]: [u64; 3]) -> ([Outcome; 3], bool, Outcome) {
+        let votes = [
+            self.banks.predict(BIM, ib),
+            self.banks.predict(G0, i0),
+            self.banks.predict(G1, i1),
+        ];
+        let use_gskew = self.banks.predict(META, ib).is_taken();
+        let overall = if use_gskew {
+            Self::majority(votes)
+        } else {
+            votes[0]
+        };
+        (votes, use_gskew, overall)
     }
 
     #[inline]
-    fn components(&self, pc: u64) -> (Outcome, Outcome, Outcome, bool) {
-        let (ib, i0, i1) = self.indices(pc);
-        let bim = self.bim.predict(ib);
-        let g0 = self.g0.predict(i0);
-        let g1 = self.g1.predict(i1);
-        let use_gskew = self.meta.predict(ib).is_taken();
-        (bim, g0, g1, use_gskew)
-    }
-
-    #[inline]
-    fn majority(a: Outcome, b: Outcome, c: Outcome) -> Outcome {
-        let taken = [a, b, c].iter().filter(|o| o.is_taken()).count();
-        Outcome::from(taken >= 2)
+    fn majority(votes: [Outcome; 3]) -> Outcome {
+        Outcome::from(votes.iter().filter(|o| o.is_taken()).count() >= 2)
     }
 }
 
 impl BranchPredictor for TwoBcGskew {
     fn predict(&mut self, pc: u64) -> Prediction {
-        let (bim, g0, g1, use_gskew) = self.components(pc);
-        let majority = Self::majority(bim, g0, g1);
-        Prediction::of(if use_gskew { majority } else { bim })
+        Prediction::of(self.components(self.indices(pc)).2)
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let (ib, i0, i1) = self.indices(pc);
-        let (bim, g0, g1, use_gskew) = self.components(pc);
-        let majority = Self::majority(bim, g0, g1);
-        let overall = if use_gskew { majority } else { bim };
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let idx = self.indices(pc);
+        let (votes, _, overall) = self.components(idx);
+        let majority = Self::majority(votes);
 
         // Train the meta chooser when the two candidate predictions differ.
-        if majority != bim {
-            self.meta.train(ib, Outcome::from(majority == outcome));
+        if majority != votes[0] {
+            self.banks
+                .train(META, idx[0], Outcome::from(majority == outcome));
         }
 
-        if overall == outcome {
-            // Partial update: strengthen only the agreeing tables.
-            if bim == outcome {
-                self.bim.train(ib, outcome);
+        // Partial update: on a correct overall prediction strengthen only
+        // the agreeing tables; on a misprediction train all three.
+        for (bank, (i, vote)) in [BIM, G0, G1].into_iter().zip(idx.into_iter().zip(votes)) {
+            if overall != outcome || vote == outcome {
+                self.banks.train(bank, i, outcome);
             }
-            if g0 == outcome {
-                self.g0.train(i0, outcome);
-            }
-            if g1 == outcome {
-                self.g1.train(i1, outcome);
-            }
-        } else {
-            self.bim.train(ib, outcome);
-            self.g0.train(i0, outcome);
-            self.g1.train(i1, outcome);
         }
         self.history.push(outcome);
+        Prediction::of(overall)
     }
 
     fn record_unconditional(&mut self, _pc: u64) {
@@ -262,17 +269,11 @@ impl BranchPredictor for TwoBcGskew {
     }
 
     fn storage_bits(&self) -> u64 {
-        self.bim.storage_bits()
-            + self.g0.storage_bits()
-            + self.g1.storage_bits()
-            + self.meta.storage_bits()
+        self.banks.storage_bits()
     }
 
     fn reset(&mut self) {
-        self.bim.reset();
-        self.g0.reset();
-        self.g1.reset();
-        self.meta.reset();
+        self.banks.reset();
         self.history.clear();
     }
 }
@@ -283,10 +284,10 @@ mod tests {
     use crate::bimodal::Bimodal;
     use crate::gshare::Gshare;
 
-    fn mcf() -> McFarling {
+    fn mcf() -> McFarling<Bimodal, Gshare> {
         McFarling::new(
-            Box::new(Bimodal::new(8, CounterKind::TwoBit).unwrap()),
-            Box::new(Gshare::new(8, 4, CounterKind::TwoBit).unwrap()),
+            Bimodal::new(8, CounterKind::TwoBit).unwrap(),
+            Gshare::new(8, 4, CounterKind::TwoBit).unwrap(),
             8,
         )
         .unwrap()
@@ -336,8 +337,8 @@ mod tests {
     #[test]
     fn mcfarling_rejects_bad_meta() {
         let r = McFarling::new(
-            Box::new(Bimodal::new(8, CounterKind::TwoBit).unwrap()),
-            Box::new(Bimodal::new(8, CounterKind::TwoBit).unwrap()),
+            Bimodal::new(8, CounterKind::TwoBit).unwrap(),
+            Bimodal::new(8, CounterKind::TwoBit).unwrap(),
             0,
         );
         assert!(r.is_err());
@@ -346,14 +347,14 @@ mod tests {
     #[test]
     fn mcfarling_propagates_unconditionals_to_components() {
         let mut a = McFarling::new(
-            Box::new(Gshare::new(8, 4, CounterKind::TwoBit).unwrap()),
-            Box::new(Gshare::new(8, 4, CounterKind::TwoBit).unwrap()),
+            Gshare::new(8, 4, CounterKind::TwoBit).unwrap(),
+            Gshare::new(8, 4, CounterKind::TwoBit).unwrap(),
             8,
         )
         .unwrap();
         // Same updates with and without an interleaved unconditional: the
         // history-sensitive components must diverge.
-        let drive = |p: &mut McFarling, uncond: bool| {
+        let drive = |p: &mut McFarling<Gshare, Gshare>, uncond: bool| {
             p.update(0x100, Outcome::Taken);
             if uncond {
                 p.record_unconditional(0x200);
@@ -366,8 +367,8 @@ mod tests {
             p.predict(0x304).outcome
         };
         let mut b = McFarling::new(
-            Box::new(Gshare::new(8, 4, CounterKind::TwoBit).unwrap()),
-            Box::new(Gshare::new(8, 4, CounterKind::TwoBit).unwrap()),
+            Gshare::new(8, 4, CounterKind::TwoBit).unwrap(),
+            Gshare::new(8, 4, CounterKind::TwoBit).unwrap(),
             8,
         )
         .unwrap();

@@ -9,10 +9,10 @@
 
 use crate::counter::{CounterKind, SatCounter};
 use crate::error::ConfigError;
+use crate::hash::PairMap;
 use crate::history::GlobalHistory;
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
-use crate::vector::InfoVector;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// An infinite-capacity, conflict-free predictor.
 ///
@@ -27,7 +27,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ideal {
-    map: HashMap<(u64, u64), SatCounter>,
+    map: PairMap<SatCounter>,
     history: GlobalHistory,
     kind: CounterKind,
     /// Count of distinct `(address, history)` pairs ever seen.
@@ -49,7 +49,7 @@ impl Ideal {
             ));
         }
         Ok(Ideal {
-            map: HashMap::new(),
+            map: PairMap::default(),
             history: GlobalHistory::new(history_bits),
             kind,
             distinct_pairs: 0,
@@ -69,7 +69,7 @@ impl Ideal {
 
     #[inline]
     fn key(&self, pc: u64) -> (u64, u64) {
-        InfoVector::new(pc, self.history.value(), self.history.len()).pair()
+        self.history.vector(pc).pair()
     }
 }
 
@@ -82,15 +82,26 @@ impl BranchPredictor for Ideal {
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let key = self.key(pc);
-        match self.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().train(outcome),
-            std::collections::hash_map::Entry::Vacant(e) => {
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let prediction = match self.map.entry(self.key(pc)) {
+            Entry::Occupied(mut e) => {
+                let counter = e.get_mut();
+                let predicted = counter.predict();
+                counter.train(outcome);
+                Prediction::of(predicted)
+            }
+            Entry::Vacant(e) => {
                 self.distinct_pairs += 1;
                 e.insert(SatCounter::seeded(self.kind, outcome));
+                Prediction::novel(Outcome::NotTaken)
             }
-        }
+        };
         self.history.push(outcome);
+        prediction
     }
 
     fn record_unconditional(&mut self, _pc: u64) {

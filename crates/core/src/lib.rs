@@ -11,6 +11,8 @@
 //! * [`counter`] — 1-bit, 2-bit and n-bit saturating prediction counters and
 //!   the flat [`counter::CounterTable`] used by all tag-less predictors.
 //! * [`history`] — the global branch history register.
+//! * [`hash`] — the deterministic hasher of the lookup-only substream
+//!   maps.
 //! * [`index`] — the classic tag-less index functions: bimodal bit
 //!   truncation, *gshare* (XOR, with the paper's footnote-1 alignment rule)
 //!   and *gselect* (concatenation).
@@ -75,6 +77,7 @@ pub mod error;
 pub mod gselect;
 pub mod gshare;
 pub mod gskew;
+pub mod hash;
 pub mod history;
 pub mod hybrid;
 pub mod ideal;

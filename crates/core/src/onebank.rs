@@ -7,7 +7,6 @@ use crate::error::ConfigError;
 use crate::history::GlobalHistory;
 use crate::index::IndexFunction;
 use crate::predictor::{Outcome, Prediction};
-use crate::vector::InfoVector;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct OneBank {
@@ -47,21 +46,35 @@ impl OneBank {
     }
 
     #[inline]
-    fn index(&self, pc: u64) -> u64 {
-        let v = InfoVector::new(pc, self.history.value(), self.history.len());
-        self.func.index(&v, self.n)
-    }
-
-    #[inline]
     pub(crate) fn predict(&self, pc: u64) -> Prediction {
-        Prediction::of(self.table.predict(self.index(pc)))
+        let idx = self.func.index(&self.history.vector(pc), self.n);
+        Prediction::of(self.table.predict(idx))
     }
 
     #[inline]
     pub(crate) fn update(&mut self, pc: u64, outcome: Outcome) {
-        let idx = self.index(pc);
-        self.table.train(idx, outcome);
-        self.history.push(outcome);
+        self.step_with(self.func, pc, outcome);
+    }
+
+    /// The fused predict-and-train step. Each wrapper passes its own
+    /// constant index function (always equal to `self.func`), so the
+    /// index computation specializes to that function when inlined.
+    #[inline(always)]
+    pub(crate) fn step_with(
+        &mut self,
+        func: IndexFunction,
+        pc: u64,
+        outcome: Outcome,
+    ) -> Prediction {
+        debug_assert_eq!(func, self.func);
+        let idx = func.index(&self.history.vector(pc), self.n);
+        let predicted = self.table.predict_train(idx, outcome);
+        // Bimodal's register has length 0: skipping the push keeps a
+        // store-to-load dependency out of its per-branch loop.
+        if func != IndexFunction::Bimodal {
+            self.history.push(outcome);
+        }
+        Prediction::of(predicted)
     }
 
     #[inline]

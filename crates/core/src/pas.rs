@@ -14,7 +14,7 @@
 //!   over the `(address, local history)` vector, majority-voted, with
 //!   partial update — gskew's recipe transplanted to local histories.
 
-use crate::counter::{CounterKind, CounterTable};
+use crate::counter::{CounterBanks, CounterKind, CounterTable};
 use crate::error::ConfigError;
 use crate::gskew::UpdatePolicy;
 use crate::index::IndexFunction;
@@ -144,9 +144,14 @@ impl BranchPredictor for Pas {
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let idx = self.index(pc);
-        self.table.train(idx, outcome);
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let predicted = self.table.predict_train(self.index(pc), outcome);
         self.bht.push(pc, outcome);
+        Prediction::of(predicted)
     }
 
     fn name(&self) -> String {
@@ -175,7 +180,7 @@ impl BranchPredictor for Pas {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkewedPas {
     bht: BranchHistoryTable,
-    banks: Vec<CounterTable>,
+    banks: CounterBanks,
     n: u32,
     policy: UpdatePolicy,
 }
@@ -203,55 +208,45 @@ impl SkewedPas {
         }
         Ok(SkewedPas {
             bht: BranchHistoryTable::new(bht_entries_log2, local_bits)?,
-            banks: (0..3)
-                .map(|_| CounterTable::new(bank_entries_log2, kind))
-                .collect(),
+            banks: CounterBanks::new(3, bank_entries_log2, kind),
             n: bank_entries_log2,
             policy,
         })
     }
 
+    /// The three bank indices of `pc` under its local history.
     #[inline]
-    fn packed(&self, pc: u64) -> u64 {
-        InfoVector::new(pc, self.bht.history(pc), self.bht.local_bits).packed()
+    fn indices(&self, pc: u64) -> [u64; 3] {
+        let packed = InfoVector::new(pc, self.bht.history(pc), self.bht.local_bits).packed();
+        [
+            skew_index(0, packed, self.n),
+            skew_index(1, packed, self.n),
+            skew_index(2, packed, self.n),
+        ]
     }
 }
 
 impl BranchPredictor for SkewedPas {
     fn predict(&mut self, pc: u64) -> Prediction {
-        let packed = self.packed(pc);
-        let taken = self
-            .banks
-            .iter()
-            .enumerate()
-            .filter(|(b, t)| t.predict(skew_index(*b, packed, self.n)).is_taken())
+        let idx = self.indices(pc);
+        let taken = (0..3)
+            .filter(|&b| self.banks.predict(b, idx[b]).is_taken())
             .count();
-        Prediction::of(Outcome::from(2 * taken > self.banks.len()))
+        Prediction::of(Outcome::from(2 * taken > 3))
     }
 
     fn update(&mut self, pc: u64, outcome: Outcome) {
-        let packed = self.packed(pc);
-        let indices: Vec<u64> = (0..self.banks.len())
-            .map(|b| skew_index(b, packed, self.n))
-            .collect();
-        let votes: Vec<Outcome> = self
+        self.step(pc, outcome);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let idx = self.indices(pc);
+        let overall = self
             .banks
-            .iter()
-            .zip(&indices)
-            .map(|(t, &i)| t.predict(i))
-            .collect();
-        let taken = votes.iter().filter(|o| o.is_taken()).count();
-        let overall = Outcome::from(2 * taken > votes.len());
-        for ((bank, &idx), &vote) in self.banks.iter_mut().zip(&indices).zip(&votes) {
-            let train = match self.policy {
-                UpdatePolicy::Total => true,
-                UpdatePolicy::Partial => overall != outcome || vote == outcome,
-            };
-            if train {
-                bank.train(idx, outcome);
-            }
-        }
+            .vote_step(idx, outcome, self.policy == UpdatePolicy::Partial);
         self.bht.push(pc, outcome);
+        Prediction::of(overall)
     }
 
     fn name(&self) -> String {
@@ -260,25 +255,18 @@ impl BranchPredictor for SkewedPas {
             self.bht.histories.len(),
             self.bht.local_bits,
             1u64 << self.n,
-            self.banks[0].kind(),
+            self.banks.kind(),
             self.policy
         )
     }
 
     fn storage_bits(&self) -> u64 {
-        self.bht.storage_bits()
-            + self
-                .banks
-                .iter()
-                .map(CounterTable::storage_bits)
-                .sum::<u64>()
+        self.bht.storage_bits() + self.banks.storage_bits()
     }
 
     fn reset(&mut self) {
         self.bht.reset();
-        for bank in &mut self.banks {
-            bank.reset();
-        }
+        self.banks.reset();
     }
 }
 

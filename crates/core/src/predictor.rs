@@ -118,6 +118,8 @@ impl fmt::Display for Prediction {
 /// 1. `let p = predictor.predict(pc);`
 /// 2. `predictor.update(pc, actual_outcome);`
 ///
+/// or, fused, `let p = predictor.step(pc, actual_outcome);`.
+///
 /// [`BranchPredictor::update`] must be called with the *same* `pc` that was
 /// just predicted; it both trains the tables (using the history as it was at
 /// prediction time) and shifts the actual outcome into the global history.
@@ -131,6 +133,21 @@ pub trait BranchPredictor {
     /// Reveal the actual outcome of the conditional branch at `pc`, training
     /// the predictor and updating the global history.
     fn update(&mut self, pc: u64, outcome: Outcome);
+
+    /// Predict the conditional branch at `pc`, then train with its actual
+    /// `outcome`: one fused step, returning the prediction made *before*
+    /// training.
+    ///
+    /// Must be observably identical to `predict` followed by `update`,
+    /// which is the default. Predictors override it to compute their
+    /// table indices (or hash keys) once per branch instead of twice; the
+    /// simulation engine drives every conditional branch through it.
+    #[inline]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let prediction = self.predict(pc);
+        self.update(pc, outcome);
+        prediction
+    }
 
     /// Report an unconditional transfer of control at `pc`.
     ///
@@ -158,6 +175,9 @@ impl BranchPredictor for Box<dyn BranchPredictor> {
     }
     fn update(&mut self, pc: u64, outcome: Outcome) {
         (**self).update(pc, outcome)
+    }
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        (**self).step(pc, outcome)
     }
     fn record_unconditional(&mut self, pc: u64) {
         (**self).record_unconditional(pc)

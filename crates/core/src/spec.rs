@@ -38,11 +38,11 @@ use crate::distributed::SharedHysteresisGskew;
 use crate::error::ConfigError;
 use crate::gselect::Gselect;
 use crate::gshare::Gshare;
-use crate::gskew::{Gskew, UpdatePolicy};
+use crate::gskew::{Gskew, GskewOf, UpdatePolicy};
 use crate::hybrid::{McFarling, TwoBcGskew};
 use crate::ideal::Ideal;
 use crate::pas::{Pas, SkewedPas};
-use crate::predictor::BranchPredictor;
+use crate::predictor::{BranchPredictor, Outcome, Prediction};
 use crate::statics::{AlwaysNotTaken, AlwaysTaken};
 use std::collections::HashMap;
 
@@ -131,11 +131,9 @@ impl Params {
 /// before any table is allocated.
 ///
 /// Splitting [`parse_spec`] into [`PredictorSpec::parse`] (cheap, pure)
-/// and [`PredictorSpec::build`] (allocates the predictor) lets callers
-/// inspect *what* a spec asks for without paying for it — the simulation
-/// kernels in `bpred-sim` match on this enum to pick a monomorphized fast
-/// path for the tag-less table predictors and fall back to
-/// [`build`](PredictorSpec::build) for everything else.
+/// and [`PredictorSpec::concrete`] / [`PredictorSpec::build`] (allocate
+/// the predictor, as its own type or boxed) lets callers inspect *what* a
+/// spec asks for without paying for it, and build it where it runs.
 ///
 /// Parameter *range* validation stays in the predictor constructors, so
 /// `parse` accepts e.g. `gshare:n=0` and the error surfaces at `build`,
@@ -388,17 +386,27 @@ impl PredictorSpec {
         Ok(parsed)
     }
 
-    /// Allocate the predictor this spec describes.
+    /// Allocate the predictor this spec describes, boxed.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] when a parameter is out of its legal range
     /// (constructor validation).
     pub fn build(&self) -> Result<Box<dyn BranchPredictor>, ConfigError> {
-        let boxed: Box<dyn BranchPredictor> = match *self {
-            PredictorSpec::Bimodal { n, ctr } => Box::new(Bimodal::new(n, ctr)?),
-            PredictorSpec::Gshare { n, h, ctr } => Box::new(Gshare::new(n, h, ctr)?),
-            PredictorSpec::Gselect { n, h, ctr } => Box::new(Gselect::new(n, h, ctr)?),
+        Ok(self.concrete()?.boxed())
+    }
+
+    /// Allocate the predictor this spec describes as its concrete type —
+    /// the one place a spec becomes a predictor.
+    ///
+    /// # Errors
+    ///
+    /// As [`PredictorSpec::build`].
+    pub fn concrete(&self) -> Result<Concrete, ConfigError> {
+        Ok(match *self {
+            PredictorSpec::Bimodal { n, ctr } => Concrete::Bimodal(Bimodal::new(n, ctr)?),
+            PredictorSpec::Gshare { n, h, ctr } => Concrete::Gshare(Gshare::new(n, h, ctr)?),
+            PredictorSpec::Gselect { n, h, ctr } => Concrete::Gselect(Gselect::new(n, h, ctr)?),
             PredictorSpec::Gskew {
                 n,
                 h,
@@ -407,7 +415,7 @@ impl PredictorSpec {
                 update,
                 enhanced,
                 skewing,
-            } => Box::new(
+            } => Concrete::gskew(
                 Gskew::builder()
                     .banks(banks)
                     .bank_entries_log2(n)
@@ -418,21 +426,23 @@ impl PredictorSpec {
                     .identical_indexing(!skewing)
                     .build()?,
             ),
-            PredictorSpec::Agree { n, h, bias, ctr } => Box::new(Agree::new(n, h, bias, ctr)?),
-            PredictorSpec::BiMode { n, h, choice, ctr } => {
-                Box::new(BiMode::new(n, h, choice, ctr)?)
+            PredictorSpec::Agree { n, h, bias, ctr } => {
+                Concrete::Agree(Agree::new(n, h, bias, ctr)?)
             }
-            PredictorSpec::Pas { bht, l, n, ctr } => Box::new(Pas::new(bht, l, n, ctr)?),
+            PredictorSpec::BiMode { n, h, choice, ctr } => {
+                Concrete::BiMode(BiMode::new(n, h, choice, ctr)?)
+            }
+            PredictorSpec::Pas { bht, l, n, ctr } => Concrete::Pas(Pas::new(bht, l, n, ctr)?),
             PredictorSpec::Spas {
                 bht,
                 l,
                 n,
                 ctr,
                 update,
-            } => Box::new(SkewedPas::new(bht, l, n, ctr, update)?),
-            PredictorSpec::Ideal { h, ctr } => Box::new(Ideal::new(h, ctr)?),
+            } => Concrete::Spas(SkewedPas::new(bht, l, n, ctr, update)?),
+            PredictorSpec::Ideal { h, ctr } => Concrete::Ideal(Ideal::new(h, ctr)?),
             PredictorSpec::Falru { cap, h, ctr, miss } => {
-                Box::new(FullyAssociative::new(cap, h, ctr)?.with_miss_policy(miss))
+                Concrete::Falru(FullyAssociative::new(cap, h, ctr)?.with_miss_policy(miss))
             }
             PredictorSpec::SetAssoc {
                 n,
@@ -440,20 +450,163 @@ impl PredictorSpec {
                 h,
                 ctr,
                 miss,
-            } => Box::new(SetAssociative::new(n, ways, h, ctr)?.with_miss_policy(miss)),
-            PredictorSpec::McFarling { n, h, ctr } => Box::new(McFarling::new(
-                Box::new(Bimodal::new(n, ctr)?),
-                Box::new(Gshare::new(n, h, ctr)?),
+            } => Concrete::SetAssoc(SetAssociative::new(n, ways, h, ctr)?.with_miss_policy(miss)),
+            PredictorSpec::McFarling { n, h, ctr } => Concrete::McFarling(McFarling::new(
+                Bimodal::new(n, ctr)?,
+                Gshare::new(n, h, ctr)?,
                 n,
             )?),
             PredictorSpec::Shgskew { n, h, update } => {
-                Box::new(SharedHysteresisGskew::with_policy(n, h, update)?)
+                Concrete::Shgskew(SharedHysteresisGskew::with_policy(n, h, update)?)
             }
-            PredictorSpec::TwoBcGskew { n, h } => Box::new(TwoBcGskew::new(n, h)?),
-            PredictorSpec::AlwaysTaken => Box::new(AlwaysTaken::new()),
-            PredictorSpec::AlwaysNotTaken => Box::new(AlwaysNotTaken::new()),
-        };
-        Ok(boxed)
+            PredictorSpec::TwoBcGskew { n, h } => Concrete::TwoBcGskew(TwoBcGskew::new(n, h)?),
+            PredictorSpec::AlwaysTaken => Concrete::AlwaysTaken(AlwaysTaken::new()),
+            PredictorSpec::AlwaysNotTaken => Concrete::AlwaysNotTaken(AlwaysNotTaken::new()),
+        })
+    }
+}
+
+/// Generic code over one concrete predictor type, run by
+/// [`Concrete::visit`]: a visitor's `visit` is compiled once per
+/// predictor type, so a loop inside it calls that type's methods
+/// directly instead of dispatching on every branch.
+pub trait Visit {
+    /// What the visit produces.
+    type Output;
+
+    /// Consume the predictor.
+    fn visit<P: BranchPredictor + 'static>(self, predictor: P) -> Self::Output;
+}
+
+macro_rules! concrete {
+    ($($variant:ident($ty:ty),)*) => {
+        /// A predictor built from a [`PredictorSpec`], held as its
+        /// concrete type ([`PredictorSpec::concrete`]).
+        ///
+        /// Each gskew shape (bank count, enhanced bank 0, skewing) is its
+        /// own [`GskewOf`] variant, so visiting one compiles its per-branch
+        /// step for exactly that shape. As a [`BranchPredictor`] itself a
+        /// `Concrete` dispatches on every call; use [`Concrete::visit`]
+        /// for long runs.
+        #[derive(Debug)]
+        #[allow(missing_docs)] // one variant per predictor type, named after it
+        pub enum Concrete {
+            $($variant($ty),)*
+        }
+
+        impl Concrete {
+            /// Hand the predictor, as its own type, to `visitor`.
+            pub fn visit<V: Visit>(self, visitor: V) -> V::Output {
+                match self {
+                    $(Concrete::$variant(p) => visitor.visit(p),)*
+                }
+            }
+
+            /// The predictor behind a `dyn` pointer.
+            pub fn boxed(self) -> Box<dyn BranchPredictor> {
+                match self {
+                    $(Concrete::$variant(p) => Box::new(p),)*
+                }
+            }
+        }
+
+        impl BranchPredictor for Concrete {
+            fn predict(&mut self, pc: u64) -> Prediction {
+                match self {
+                    $(Concrete::$variant(p) => p.predict(pc),)*
+                }
+            }
+
+            fn update(&mut self, pc: u64, outcome: Outcome) {
+                match self {
+                    $(Concrete::$variant(p) => p.update(pc, outcome),)*
+                }
+            }
+
+            fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+                match self {
+                    $(Concrete::$variant(p) => p.step(pc, outcome),)*
+                }
+            }
+
+            fn record_unconditional(&mut self, pc: u64) {
+                match self {
+                    $(Concrete::$variant(p) => p.record_unconditional(pc),)*
+                }
+            }
+
+            fn name(&self) -> String {
+                match self {
+                    $(Concrete::$variant(p) => p.name(),)*
+                }
+            }
+
+            fn storage_bits(&self) -> u64 {
+                match self {
+                    $(Concrete::$variant(p) => p.storage_bits(),)*
+                }
+            }
+
+            fn reset(&mut self) {
+                match self {
+                    $(Concrete::$variant(p) => p.reset(),)*
+                }
+            }
+        }
+    };
+}
+
+concrete! {
+    Bimodal(Bimodal),
+    Gshare(Gshare),
+    Gselect(Gselect),
+    Gskew3(GskewOf<3, false, true>),
+    Gskew3Same(GskewOf<3, false, false>),
+    Egskew3(GskewOf<3, true, true>),
+    Egskew3Same(GskewOf<3, true, false>),
+    Gskew5(GskewOf<5, false, true>),
+    Gskew5Same(GskewOf<5, false, false>),
+    Egskew5(GskewOf<5, true, true>),
+    Egskew5Same(GskewOf<5, true, false>),
+    Agree(Agree),
+    BiMode(BiMode),
+    Pas(Pas),
+    Spas(SkewedPas),
+    Ideal(Ideal),
+    Falru(FullyAssociative),
+    SetAssoc(SetAssociative),
+    McFarling(McFarling<Bimodal, Gshare>),
+    Shgskew(SharedHysteresisGskew),
+    TwoBcGskew(TwoBcGskew),
+    AlwaysTaken(AlwaysTaken),
+    AlwaysNotTaken(AlwaysNotTaken),
+}
+
+impl Concrete {
+    /// The [`GskewOf`] variant matching `gskew`'s shape.
+    fn gskew(gskew: Gskew) -> Concrete {
+        macro_rules! first_fit {
+            ($g:ident: $($variant:ident),*) => {
+                $(let $g = match GskewOf::new($g) {
+                    Ok(p) => return Concrete::$variant(p),
+                    Err(g) => g,
+                };)*
+            };
+        }
+        first_fit!(
+            gskew: Gskew3,
+            Gskew3Same,
+            Egskew3,
+            Egskew3Same,
+            Gskew5,
+            Gskew5Same,
+            Egskew5,
+            Egskew5Same
+        );
+        unreachable!(
+            "GskewBuilder admits 3 or 5 banks, not {}",
+            gskew.num_banks()
+        )
     }
 }
 

@@ -6,6 +6,7 @@
 //! addresses are instruction-aligned, so the two low address bits carry no
 //! information and are dropped.
 
+use crate::history::history_mask;
 use std::fmt;
 
 /// A branch substream identifier: `(address, history)` with the packed form
@@ -33,16 +34,16 @@ impl InfoVector {
     /// (instruction alignment, `a_2` is the lowest useful bit).
     #[inline]
     pub fn new(pc: u64, hist: u64, hist_bits: u32) -> Self {
-        let mask = if hist_bits == 0 {
-            0
-        } else if hist_bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << hist_bits) - 1
-        };
+        InfoVector::from_masked(pc, hist & history_mask(hist_bits), hist_bits)
+    }
+
+    /// [`InfoVector::new`] for a history already masked to `hist_bits`
+    /// bits (as [`crate::history::GlobalHistory`] keeps it).
+    #[inline]
+    pub(crate) fn from_masked(pc: u64, hist: u64, hist_bits: u32) -> Self {
         InfoVector {
             addr: pc >> 2,
-            hist: hist & mask,
+            hist,
             hist_bits,
         }
     }

@@ -64,40 +64,61 @@ impl Extrapolator {
         pass1: impl Iterator<Item = BranchRecord>,
         pass2: impl Iterator<Item = BranchRecord>,
     ) -> Extrapolation {
-        assert!(self.bank_entries > 0, "bank size must be nonzero");
+        Self::run_sizes(self.history_bits, &[self.bank_entries], pass1, pass2)[0]
+    }
+
+    /// [`Extrapolator::run`] for every bank size in `bank_entries` at
+    /// once. The bias pass, the last-use-distance walk and the 1-bit
+    /// unaliased predictor do not depend on the bank size, so one walk
+    /// serves every size, keeping a formula (3) sum per size. Entry `i`
+    /// of the result is bit-identical to `run` with `bank_entries[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any bank size is zero.
+    pub fn run_sizes(
+        history_bits: u32,
+        bank_entries: &[u64],
+        pass1: impl Iterator<Item = BranchRecord>,
+        pass2: impl Iterator<Item = BranchRecord>,
+    ) -> Vec<Extrapolation> {
+        assert!(
+            bank_entries.iter().all(|&n| n > 0),
+            "bank size must be nonzero"
+        );
 
         // Pass 1: bias over the entire trace.
-        let bias = BiasStats::new(self.history_bits).run(pass1);
+        let bias = BiasStats::new(history_bits).run(pass1);
         let b = bias.static_bias_taken();
 
         // Pass 2: last-use distances, overhead, and the unaliased 1-bit
         // base rate, in one walk.
-        let mut cursor = PairCursor::new(self.history_bits);
+        let mut cursor = PairCursor::new(history_bits);
         let mut distances = LastUseDistance::new();
-        let mut ideal = Ideal::new(self.history_bits, CounterKind::OneBit)
+        let mut ideal = Ideal::new(history_bits, CounterKind::OneBit)
             .expect("history length validated by caller");
-        let mut overhead_sum = 0.0f64;
+        let mut overhead_sums = vec![0.0f64; bank_entries.len()];
+        // First encounters: the paper applies formula (3) with p = 1.
+        let first_use = p_sk(1.0, b);
         let mut unaliased_misses = 0u64;
         let mut references = 0u64;
 
         for record in pass2 {
             if record.kind == BranchKind::Conditional {
                 references += 1;
-                let pair = cursor.pair(record.pc);
-                let p = match distances.observe(pair) {
-                    Some(d) => aliasing_probability(d, self.bank_entries),
-                    // First encounter: the paper applies formula (3) with
-                    // p = 1.
-                    None => 1.0,
-                };
-                overhead_sum += p_sk(p, b);
-
-                let prediction = ideal.predict(record.pc);
+                match distances.observe(cursor.pair(record.pc)) {
+                    Some(d) => {
+                        for (sum, &n) in overhead_sums.iter_mut().zip(bank_entries) {
+                            *sum += p_sk(aliasing_probability(d, n), b);
+                        }
+                    }
+                    None => overhead_sums.iter_mut().for_each(|sum| *sum += first_use),
+                }
                 let outcome = Outcome::from(record.taken);
+                let prediction = ideal.step(record.pc, outcome);
                 if !prediction.novel && prediction.outcome != outcome {
                     unaliased_misses += 1;
                 }
-                ideal.update(record.pc, outcome);
             } else {
                 ideal.record_unconditional(record.pc);
             }
@@ -106,14 +127,19 @@ impl Extrapolator {
 
         let refs_f = references.max(1) as f64;
         let unaliased_rate = unaliased_misses as f64 / refs_f;
-        let aliasing_overhead = overhead_sum / refs_f;
-        Extrapolation {
-            bias: b,
-            unaliased_rate,
-            aliasing_overhead,
-            extrapolated_rate: unaliased_rate + aliasing_overhead,
-            references,
-        }
+        overhead_sums
+            .into_iter()
+            .map(|sum| {
+                let aliasing_overhead = sum / refs_f;
+                Extrapolation {
+                    bias: b,
+                    unaliased_rate,
+                    aliasing_overhead,
+                    extrapolated_rate: unaliased_rate + aliasing_overhead,
+                    references,
+                }
+            })
+            .collect()
     }
 }
 
@@ -157,6 +183,38 @@ mod tests {
         );
         // The unaliased base rate does not depend on the bank size.
         assert!((large.unaliased_rate - small.unaliased_rate).abs() < 1e-12);
+    }
+
+    #[test]
+    fn run_sizes_is_bit_identical_to_run_per_size() {
+        let spec = IbsBenchmark::Groff.spec();
+        let sizes = [64u64, 1024, 8192];
+        let batched = Extrapolator::run_sizes(
+            4,
+            &sizes,
+            spec.build().take_conditionals(20_000),
+            spec.build().take_conditionals(20_000),
+        );
+        for (&bank_entries, got) in sizes.iter().zip(&batched) {
+            let want = Extrapolator {
+                bank_entries,
+                history_bits: 4,
+            }
+            .run(
+                spec.build().take_conditionals(20_000),
+                spec.build().take_conditionals(20_000),
+            );
+            let bits = |e: &Extrapolation| {
+                [
+                    e.bias.to_bits(),
+                    e.unaliased_rate.to_bits(),
+                    e.aliasing_overhead.to_bits(),
+                    e.extrapolated_rate.to_bits(),
+                    e.references,
+                ]
+            };
+            assert_eq!(bits(got), bits(&want), "bank size {bank_entries}");
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! experiment harness uses it to state that the paper's orderings are
 //! significant rather than noise.
 
-use crate::engine::NovelPolicy;
-use bpred_core::predictor::{BranchPredictor, Outcome};
-use bpred_trace::record::{BranchKind, BranchRecord};
+use crate::engine::{self, Mode, NovelPolicy};
+use bpred_core::predictor::{BranchPredictor, Outcome, Prediction};
+use bpred_trace::soa::TraceColumns;
 
 /// The outcome of a lockstep duel between two predictors.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -69,43 +69,83 @@ fn percentage(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Drive two predictors over the same record stream in lockstep and
-/// tally the paired outcomes. Novel predictions are accounted per
-/// `novel_policy` for both predictors symmetrically (an excluded branch
-/// is excluded from the pairing entirely when *either* prediction is
-/// novel, so the pairing stays balanced).
-pub fn duel(
-    a: &mut dyn BranchPredictor,
-    b: &mut dyn BranchPredictor,
-    records: impl Iterator<Item = BranchRecord>,
-    novel_policy: NovelPolicy,
-) -> DuelResult {
-    let mut result = DuelResult::default();
-    for record in records {
-        if record.kind == BranchKind::Conditional {
-            let pa = a.predict(record.pc);
-            let pb = b.predict(record.pc);
-            let outcome = Outcome::from(record.taken);
-            let excluded = novel_policy == NovelPolicy::Exclude && (pa.novel || pb.novel);
-            if !excluded {
-                result.branches += 1;
-                let a_wrong = pa.outcome != outcome;
-                let b_wrong = pb.outcome != outcome;
-                match (a_wrong, b_wrong) {
-                    (true, false) => result.only_a_wrong += 1,
-                    (false, true) => result.only_b_wrong += 1,
-                    (true, true) => result.both_wrong += 1,
-                    (false, false) => {}
-                }
-            }
-            a.update(record.pc, outcome);
-            b.update(record.pc, outcome);
-        } else {
-            a.record_unconditional(record.pc);
-            b.record_unconditional(record.pc);
-        }
+/// Drive two predictors over the same trace in lockstep and tally the
+/// paired outcomes. Novel predictions are accounted per `novel_policy`
+/// for both predictors symmetrically (an excluded branch is excluded
+/// from the pairing entirely when *either* prediction is novel, so the
+/// pairing stays balanced).
+///
+/// The pair runs through [`engine::simulate`] as one predictor.
+pub fn duel<A, B>(a: A, b: B, columns: &TraceColumns, novel_policy: NovelPolicy) -> DuelResult
+where
+    A: BranchPredictor + 'static,
+    B: BranchPredictor + 'static,
+{
+    let mut pair = Lockstep {
+        a,
+        b,
+        exclude: novel_policy == NovelPolicy::Exclude,
+        result: DuelResult::default(),
+    };
+    engine::simulate(&mut pair, columns, Mode::Plain, NovelPolicy::Count);
+    pair.result
+}
+
+/// Two predictors stepped as one. `step` steps both and tallies the
+/// pairing — the one method that does more than its predict-then-update
+/// default, which is why the pair stays private to [`duel`].
+struct Lockstep<A, B> {
+    a: A,
+    b: B,
+    exclude: bool,
+    result: DuelResult,
+}
+
+impl<A: BranchPredictor, B: BranchPredictor> BranchPredictor for Lockstep<A, B> {
+    fn predict(&mut self, pc: u64) -> Prediction {
+        self.a.predict(pc)
     }
-    result
+
+    fn update(&mut self, pc: u64, outcome: Outcome) {
+        self.a.update(pc, outcome);
+        self.b.update(pc, outcome);
+    }
+
+    #[inline]
+    fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+        let pa = self.a.step(pc, outcome);
+        let pb = self.b.step(pc, outcome);
+        if !(self.exclude && (pa.novel || pb.novel)) {
+            let r = &mut self.result;
+            r.branches += 1;
+            match (pa.outcome != outcome, pb.outcome != outcome) {
+                (true, false) => r.only_a_wrong += 1,
+                (false, true) => r.only_b_wrong += 1,
+                (true, true) => r.both_wrong += 1,
+                (false, false) => {}
+            }
+        }
+        pa
+    }
+
+    fn record_unconditional(&mut self, pc: u64) {
+        self.a.record_unconditional(pc);
+        self.b.record_unconditional(pc);
+    }
+
+    fn name(&self) -> String {
+        format!("{} vs {}", self.a.name(), self.b.name())
+    }
+
+    fn storage_bits(&self) -> u64 {
+        self.a.storage_bits() + self.b.storage_bits()
+    }
+
+    fn reset(&mut self) {
+        self.a.reset();
+        self.b.reset();
+        self.result = DuelResult::default();
+    }
 }
 
 #[cfg(test)]
@@ -114,18 +154,25 @@ mod tests {
     use bpred_core::prelude::*;
     use bpred_core::spec::parse_spec;
     use bpred_trace::prelude::*;
+    use bpred_trace::soa::TraceColumns;
+
+    fn columns(records: impl Iterator<Item = BranchRecord>) -> TraceColumns {
+        records.collect()
+    }
 
     #[test]
     fn identical_predictors_never_discord() {
-        let mut a = parse_spec("gshare:n=10,h=4").unwrap();
-        let mut b = parse_spec("gshare:n=10,h=4").unwrap();
+        let a = parse_spec("gshare:n=10,h=4").unwrap();
+        let b = parse_spec("gshare:n=10,h=4").unwrap();
         let r = duel(
-            &mut a,
-            &mut b,
-            IbsBenchmark::Verilog
-                .spec()
-                .build()
-                .take_conditionals(20_000),
+            a,
+            b,
+            &columns(
+                IbsBenchmark::Verilog
+                    .spec()
+                    .build()
+                    .take_conditionals(20_000),
+            ),
             NovelPolicy::Count,
         );
         assert_eq!(r.only_a_wrong, 0);
@@ -139,12 +186,12 @@ mod tests {
     fn duel_percentages_match_solo_runs() {
         let spec = IbsBenchmark::Groff.spec();
         let len = 30_000;
-        let mut a = parse_spec("gshare:n=12,h=6").unwrap();
-        let mut b = parse_spec("gskew:n=10,h=6").unwrap();
+        let a = parse_spec("gshare:n=12,h=6").unwrap();
+        let b = parse_spec("gskew:n=10,h=6").unwrap();
         let r = duel(
-            &mut a,
-            &mut b,
-            spec.build().take_conditionals(len),
+            a,
+            b,
+            &columns(spec.build().take_conditionals(len)),
             NovelPolicy::Count,
         );
         let mut solo_a = parse_spec("gshare:n=12,h=6").unwrap();
@@ -154,12 +201,12 @@ mod tests {
 
     #[test]
     fn big_table_beats_tiny_table_significantly() {
-        let mut tiny = parse_spec("gshare:n=6,h=4").unwrap();
-        let mut big = parse_spec("gshare:n=14,h=4").unwrap();
+        let tiny = parse_spec("gshare:n=6,h=4").unwrap();
+        let big = parse_spec("gshare:n=14,h=4").unwrap();
         let r = duel(
-            &mut tiny,
-            &mut big,
-            IbsBenchmark::Gs.spec().build().take_conditionals(150_000),
+            tiny,
+            big,
+            &columns(IbsBenchmark::Gs.spec().build().take_conditionals(150_000)),
             NovelPolicy::Count,
         );
         assert!(
@@ -172,14 +219,14 @@ mod tests {
 
     #[test]
     fn statics_duel_deterministically() {
-        let mut t = AlwaysTaken::new();
-        let mut n = AlwaysNotTaken::new();
+        let t = AlwaysTaken::new();
+        let n = AlwaysNotTaken::new();
         let records = vec![
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x104, true),
             BranchRecord::conditional(0x108, false),
         ];
-        let r = duel(&mut t, &mut n, records.into_iter(), NovelPolicy::Count);
+        let r = duel(t, n, &columns(records.into_iter()), NovelPolicy::Count);
         assert_eq!(r.branches, 3);
         assert_eq!(r.only_a_wrong, 1); // the not-taken branch
         assert_eq!(r.only_b_wrong, 2); // the two taken branches
@@ -189,9 +236,9 @@ mod tests {
 
     #[test]
     fn empty_duel_is_zero() {
-        let mut a = AlwaysTaken::new();
-        let mut b = AlwaysNotTaken::new();
-        let r = duel(&mut a, &mut b, std::iter::empty(), NovelPolicy::Count);
+        let a = AlwaysTaken::new();
+        let b = AlwaysNotTaken::new();
+        let r = duel(a, b, &columns(std::iter::empty()), NovelPolicy::Count);
         assert_eq!(r, DuelResult::default());
         assert_eq!(r.a_pct(), 0.0);
     }

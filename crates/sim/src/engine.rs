@@ -1,9 +1,26 @@
-//! The trace-driven simulation engine: drive any predictor over any record
-//! stream and account mispredictions.
+//! The trace-driven simulation engine: one generic loop, [`simulate`],
+//! drives any predictor over a trace's column view and accounts
+//! mispredictions.
+//!
+//! Every conditional branch goes through [`BranchPredictor::step`], the
+//! fused predict-and-train call each predictor family implements once in
+//! `bpred-core`; unconditional branches go through
+//! [`BranchPredictor::record_unconditional`], so they shift global
+//! histories exactly as in the paper. [`simulate`] is generic over the
+//! predictor type: over a concrete type (a [`Concrete`] variant, chosen
+//! once per spec by [`simulate_spec`]) the whole step inlines into the
+//! loop; over `Box<dyn BranchPredictor>` it costs one virtual call per
+//! record. The entry points below are thin wrappers over it.
+//!
+//! [`Concrete`]: bpred_core::spec::Concrete
 
 use crate::timing;
-use bpred_core::predictor::{BranchPredictor, Outcome};
-use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_core::error::ConfigError;
+use bpred_core::predictor::{BranchPredictor, Outcome, Prediction};
+use bpred_core::spec::{PredictorSpec, Visit};
+use bpred_trace::record::BranchRecord;
+use bpred_trace::soa::TraceColumns;
+use std::any::TypeId;
 use std::time::Instant;
 
 /// How predictions flagged *novel* (first encounter of a substream, only
@@ -44,214 +61,250 @@ impl RunResult {
     pub fn mispredict_ratio(&self) -> f64 {
         self.mispredict_pct() / 100.0
     }
+
+    /// Account one prediction against the actual outcome; returns whether
+    /// it counts as a misprediction under the policy.
+    #[inline(always)]
+    fn account(&mut self, prediction: Prediction, outcome: Outcome, exclude_novel: bool) -> bool {
+        self.conditional += 1;
+        self.novel += u64::from(prediction.novel);
+        let wrong = prediction.outcome != outcome && !(prediction.novel && exclude_novel);
+        self.mispredicted += u64::from(wrong);
+        wrong
+    }
+}
+
+/// How [`simulate`] walks the trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mode {
+    /// Account every conditional branch.
+    #[default]
+    Plain,
+    /// Exclude the first `n` conditional branches from the accounting
+    /// (the predictor still trains on them). The paper measures whole
+    /// traces with no warmup — cold-start effects are part of its
+    /// aliasing story — so the experiments use [`Mode::Plain`]; this
+    /// exists for steady-state studies.
+    Warm(u64),
+    /// Retirement-time training: every prediction is made with tables
+    /// and history that lag the youngest `d` records (they are still in
+    /// flight), and records train the predictor in order, `d` behind the
+    /// prediction point. This is the pessimistic no-speculative-history
+    /// design point; its gap against delay 0 (which equals
+    /// [`Mode::Plain`]) motivates speculative history update — see the
+    /// `ext-delay` experiment.
+    Delayed(usize),
+    /// Plain accounting, plus the misprediction percentage of each
+    /// consecutive window of `k` conditional branches — the phase-level
+    /// view (context switches, working-set shifts and cold starts show up
+    /// as spikes). The final partial window is included when it holds at
+    /// least one branch. Under [`NovelPolicy::Exclude`] novel references
+    /// stay in their window's denominator but are never charged, so the
+    /// mean of equal-sized windows reproduces the total percentage.
+    Windowed(u64),
+}
+
+/// What one [`simulate`] run produced.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Simulation {
+    /// The misprediction accounting.
+    pub result: RunResult,
+    /// Per-window misprediction percentages ([`Mode::Windowed`] only;
+    /// empty otherwise).
+    pub windows: Vec<f64>,
+}
+
+/// Drive `predictor` over `columns` under `mode`, accounting novel
+/// predictions per `policy` — the simulation engine.
+///
+/// The time spent is credited to [`crate::timing`]: to the dyn counters
+/// when `P` is `dyn BranchPredictor` or `Box<dyn BranchPredictor>`, to
+/// the kernel counters for every concrete predictor type.
+///
+/// # Panics
+///
+/// Panics on [`Mode::Windowed`] with a zero window.
+pub fn simulate<P: BranchPredictor + ?Sized + 'static>(
+    predictor: &mut P,
+    columns: &TraceColumns,
+    mode: Mode,
+    policy: NovelPolicy,
+) -> Simulation {
+    let start = Instant::now();
+    let exclude = policy == NovelPolicy::Exclude;
+    let simulation = match mode {
+        // Plain passes a literal 0 so its copy of the loop compiles
+        // without the warmup test.
+        Mode::Plain => Simulation {
+            result: walk(predictor, columns, exclude, 0, |_| {}),
+            windows: Vec::new(),
+        },
+        Mode::Warm(warmup) => Simulation {
+            result: walk(predictor, columns, exclude, warmup, |_| {}),
+            windows: Vec::new(),
+        },
+        Mode::Delayed(delay) => Simulation {
+            result: delayed(predictor, columns, exclude, delay),
+            windows: Vec::new(),
+        },
+        Mode::Windowed(window) => windowed(predictor, columns, exclude, window),
+    };
+    let applications = columns.len() as u64;
+    let id = TypeId::of::<P>();
+    if id == TypeId::of::<dyn BranchPredictor>() || id == TypeId::of::<Box<dyn BranchPredictor>>() {
+        timing::record_dyn(applications, start.elapsed());
+    } else {
+        timing::record_kernel(applications, start.elapsed());
+    }
+    simulation
+}
+
+/// The fused walk: one [`BranchPredictor::step`] per conditional record,
+/// accounting from the `warmup + 1`-th conditional on; `on_branch` sees
+/// whether each accounted branch was charged.
+#[inline(always)]
+fn walk<P: BranchPredictor + ?Sized>(
+    predictor: &mut P,
+    columns: &TraceColumns,
+    exclude: bool,
+    warmup: u64,
+    mut on_branch: impl FnMut(bool),
+) -> RunResult {
+    let mut result = RunResult::default();
+    let mut skipped = 0u64;
+    for (pcs, conditional, taken) in columns.blocks() {
+        for (j, &pc) in pcs.iter().enumerate() {
+            if (conditional >> j) & 1 == 1 {
+                let outcome = Outcome::from((taken >> j) & 1 == 1);
+                let prediction = predictor.step(pc, outcome);
+                if skipped >= warmup {
+                    on_branch(result.account(prediction, outcome, exclude));
+                } else {
+                    skipped += 1;
+                }
+            } else {
+                predictor.record_unconditional(pc);
+            }
+        }
+    }
+    result
+}
+
+fn windowed<P: BranchPredictor + ?Sized>(
+    predictor: &mut P,
+    columns: &TraceColumns,
+    exclude: bool,
+    window: u64,
+) -> Simulation {
+    assert!(window > 0, "window must be nonzero");
+    let mut windows = Vec::new();
+    let (mut in_window, mut wrong) = (0u64, 0u64);
+    let result = walk(predictor, columns, exclude, 0, |charged| {
+        in_window += 1;
+        wrong += u64::from(charged);
+        if in_window == window {
+            windows.push(100.0 * wrong as f64 / window as f64);
+            (in_window, wrong) = (0, 0);
+        }
+    });
+    if in_window > 0 {
+        windows.push(100.0 * wrong as f64 / in_window as f64);
+    }
+    Simulation { result, windows }
+}
+
+fn delayed<P: BranchPredictor + ?Sized>(
+    predictor: &mut P,
+    columns: &TraceColumns,
+    exclude: bool,
+    delay: usize,
+) -> RunResult {
+    let retire = |predictor: &mut P, i: usize| match columns.cond_taken(i) {
+        (true, taken) => predictor.update(columns.pc(i), Outcome::from(taken)),
+        (false, _) => predictor.record_unconditional(columns.pc(i)),
+    };
+    let mut result = RunResult::default();
+    for (i, &pc) in columns.pcs().iter().enumerate() {
+        if let (true, taken) = columns.cond_taken(i) {
+            let prediction = predictor.predict(pc);
+            result.account(prediction, Outcome::from(taken), exclude);
+        }
+        if i >= delay {
+            retire(predictor, i - delay);
+        }
+    }
+    // Drain the pipeline (no more predictions to account).
+    for i in columns.len().saturating_sub(delay)..columns.len() {
+        retire(predictor, i);
+    }
+    result
+}
+
+/// Build the predictor `spec` describes as its concrete type
+/// ([`PredictorSpec::concrete`]) and [`simulate`] it: the type is chosen
+/// once here, so the per-record loop is compiled for it alone.
+///
+/// # Errors
+///
+/// Returns [`ConfigError`] when a parameter is out of its legal range.
+pub fn simulate_spec(
+    spec: &PredictorSpec,
+    columns: &TraceColumns,
+    mode: Mode,
+    policy: NovelPolicy,
+) -> Result<Simulation, ConfigError> {
+    struct Drive<'a> {
+        columns: &'a TraceColumns,
+        mode: Mode,
+        policy: NovelPolicy,
+    }
+    impl Visit for Drive<'_> {
+        type Output = Simulation;
+        fn visit<P: BranchPredictor + 'static>(self, mut predictor: P) -> Simulation {
+            simulate(&mut predictor, self.columns, self.mode, self.policy)
+        }
+    }
+    Ok(spec.concrete()?.visit(Drive {
+        columns,
+        mode,
+        policy,
+    }))
 }
 
 /// Run `predictor` over `records` with the default accounting
 /// ([`NovelPolicy::Count`]).
 pub fn run(
-    predictor: &mut dyn BranchPredictor,
+    predictor: &mut (dyn BranchPredictor + 'static),
     records: impl Iterator<Item = BranchRecord>,
 ) -> RunResult {
     run_with(predictor, records, NovelPolicy::Count)
 }
 
-/// Run `predictor` over `records` with an explicit novel-reference policy.
-///
-/// For every conditional record the engine calls
-/// [`BranchPredictor::predict`] then [`BranchPredictor::update`]; for
-/// other kinds it calls [`BranchPredictor::record_unconditional`], so
-/// unconditional branches shift global histories exactly as in the paper.
+/// Run `predictor` over `records` with an explicit novel-reference
+/// policy: the records are collected into columns and [`simulate`]d.
 pub fn run_with(
-    predictor: &mut dyn BranchPredictor,
+    predictor: &mut (dyn BranchPredictor + 'static),
     records: impl Iterator<Item = BranchRecord>,
     novel_policy: NovelPolicy,
 ) -> RunResult {
-    run_warm(predictor, records, novel_policy, 0)
+    simulate(predictor, &records.collect(), Mode::Plain, novel_policy).result
 }
 
-/// As [`run_with`], excluding the first `warmup` conditional branches
-/// from the accounting (the predictor still trains on them).
-///
-/// The paper measures whole traces with no warmup (cold-start effects are
-/// part of its aliasing story), so the experiment harness passes 0; the
-/// option exists for steady-state studies.
-pub fn run_warm(
-    predictor: &mut dyn BranchPredictor,
-    records: impl Iterator<Item = BranchRecord>,
-    novel_policy: NovelPolicy,
-    warmup: u64,
-) -> RunResult {
-    let start = Instant::now();
-    let mut result = RunResult::default();
-    let mut seen = 0u64;
-    let mut applications = 0u64;
-    for record in records {
-        applications += 1;
-        if record.kind == BranchKind::Conditional {
-            seen += 1;
-            let prediction = predictor.predict(record.pc);
-            let outcome = Outcome::from(record.taken);
-            if seen > warmup {
-                result.conditional += 1;
-                if prediction.novel {
-                    result.novel += 1;
-                }
-                let counted = !(prediction.novel && novel_policy == NovelPolicy::Exclude);
-                if counted && prediction.outcome != outcome {
-                    result.mispredicted += 1;
-                }
-            }
-            predictor.update(record.pc, outcome);
-        } else {
-            predictor.record_unconditional(record.pc);
-        }
-    }
-    timing::record_dyn(applications, start.elapsed());
-    result
-}
-
-/// Drive every predictor in `predictors` over a single pass of one
-/// materialized trace, under one novel-reference policy.
-///
-/// Each record is applied to all predictors before the pass advances, so
-/// the result for predictor `i` is bit-identical to running
-/// [`run_with`]`(predictors[i], records.iter().copied(), novel_policy)`
-/// on its own — the predictors share the trace walk, not any state. With
-/// a cached trace (`bpred_trace::cache`) this turns an N-row sweep from
-/// N generate-and-simulate passes into one generation plus one pass, the
-/// batched fast path used by the experiment sweeps.
+/// Drive every predictor in `predictors` over one materialized trace,
+/// under one novel-reference policy. The result for predictor `i` is
+/// exactly [`run_with`]`(predictors[i], records.iter().copied(),
+/// novel_policy)`: the predictors share the trace's column view, not any
+/// state.
 pub fn run_many(
     predictors: &mut [Box<dyn BranchPredictor>],
     records: &[BranchRecord],
     novel_policy: NovelPolicy,
 ) -> Vec<RunResult> {
-    let start = Instant::now();
-    let mut results = vec![RunResult::default(); predictors.len()];
-    for record in records {
-        if record.kind == BranchKind::Conditional {
-            let outcome = Outcome::from(record.taken);
-            for (predictor, result) in predictors.iter_mut().zip(results.iter_mut()) {
-                let prediction = predictor.predict(record.pc);
-                result.conditional += 1;
-                if prediction.novel {
-                    result.novel += 1;
-                }
-                let counted = !(prediction.novel && novel_policy == NovelPolicy::Exclude);
-                if counted && prediction.outcome != outcome {
-                    result.mispredicted += 1;
-                }
-                predictor.update(record.pc, outcome);
-            }
-        } else {
-            for predictor in predictors.iter_mut() {
-                predictor.record_unconditional(record.pc);
-            }
-        }
-    }
-    timing::record_dyn(
-        records.len() as u64 * predictors.len() as u64,
-        start.elapsed(),
-    );
-    results
-}
-
-/// Simulate retirement-time training: every prediction is made with
-/// tables and history that lag the youngest `delay` branches (they are
-/// still in flight). Records are replayed through the predictor in order,
-/// `delay` records behind the prediction point.
-///
-/// This is the pessimistic no-speculative-history design point: a real
-/// wide machine would checkpoint and speculatively update the history
-/// register at fetch. The gap this function exposes against
-/// [`run_with`] (delay 0) is the motivation for that hardware — see the
-/// `ext-delay` experiment.
-pub fn run_delayed(
-    predictor: &mut dyn BranchPredictor,
-    records: impl Iterator<Item = BranchRecord>,
-    novel_policy: NovelPolicy,
-    delay: usize,
-) -> RunResult {
-    use std::collections::VecDeque;
-    let mut result = RunResult::default();
-    let mut in_flight: VecDeque<BranchRecord> = VecDeque::with_capacity(delay + 1);
-    for record in records {
-        if record.kind == BranchKind::Conditional {
-            result.conditional += 1;
-            let prediction = predictor.predict(record.pc);
-            let outcome = Outcome::from(record.taken);
-            if prediction.novel {
-                result.novel += 1;
-            }
-            let counted = !(prediction.novel && novel_policy == NovelPolicy::Exclude);
-            if counted && prediction.outcome != outcome {
-                result.mispredicted += 1;
-            }
-        }
-        in_flight.push_back(record);
-        if in_flight.len() > delay {
-            retire(predictor, in_flight.pop_front().expect("nonempty queue"));
-        }
-    }
-    // Drain the pipeline (no more predictions to account).
-    while let Some(record) = in_flight.pop_front() {
-        retire(predictor, record);
-    }
-    result
-}
-
-/// Run `predictor` and return the misprediction percentage of each
-/// consecutive window of `window` conditional branches — the phase-level
-/// view of prediction quality (context switches, working-set shifts and
-/// cold starts all show up as spikes).
-///
-/// The final partial window is included when it holds at least one
-/// branch. Novel references follow `novel_policy` exactly as in
-/// [`run_with`]: under [`NovelPolicy::Exclude`] they stay in the window's
-/// denominator but are never charged as mispredictions, so the mean of
-/// equal-sized windows still reproduces the total-run percentage.
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn run_windowed(
-    predictor: &mut dyn BranchPredictor,
-    records: impl Iterator<Item = BranchRecord>,
-    window: u64,
-    novel_policy: NovelPolicy,
-) -> Vec<f64> {
-    assert!(window > 0, "window must be nonzero");
-    let mut windows = Vec::new();
-    let mut in_window = 0u64;
-    let mut wrong = 0u64;
-    for record in records {
-        if record.kind == BranchKind::Conditional {
-            let prediction = predictor.predict(record.pc);
-            let outcome = Outcome::from(record.taken);
-            let counted = !(prediction.novel && novel_policy == NovelPolicy::Exclude);
-            wrong += u64::from(counted && prediction.outcome != outcome);
-            in_window += 1;
-            predictor.update(record.pc, outcome);
-            if in_window == window {
-                windows.push(100.0 * wrong as f64 / window as f64);
-                in_window = 0;
-                wrong = 0;
-            }
-        } else {
-            predictor.record_unconditional(record.pc);
-        }
-    }
-    if in_window > 0 {
-        windows.push(100.0 * wrong as f64 / in_window as f64);
-    }
-    windows
-}
-
-fn retire(predictor: &mut dyn BranchPredictor, record: BranchRecord) {
-    if record.kind == BranchKind::Conditional {
-        predictor.update(record.pc, Outcome::from(record.taken));
-    } else {
-        predictor.record_unconditional(record.pc);
-    }
+    let columns = TraceColumns::from_records(records);
+    predictors
+        .iter_mut()
+        .map(|predictor| simulate(predictor, &columns, Mode::Plain, novel_policy).result)
+        .collect()
 }
 
 #[cfg(test)]
@@ -259,6 +312,16 @@ mod tests {
     use super::*;
     use bpred_core::prelude::*;
     use bpred_trace::prelude::*;
+
+    /// [`simulate`] over an iterator of records.
+    fn sim(
+        predictor: &mut (dyn BranchPredictor + 'static),
+        records: impl Iterator<Item = BranchRecord>,
+        mode: Mode,
+        policy: NovelPolicy,
+    ) -> Simulation {
+        simulate(predictor, &records.collect(), mode, policy)
+    }
 
     #[test]
     fn always_taken_scores_the_taken_ratio() {
@@ -316,12 +379,13 @@ mod tests {
         let len = 40_000u64;
         let window = 4_000u64;
         let mut p = Gshare::new(10, 6, CounterKind::TwoBit).unwrap();
-        let windows = run_windowed(
+        let windows = sim(
             &mut p,
             spec.build().take_conditionals(len),
-            window,
+            Mode::Windowed(window),
             NovelPolicy::Count,
-        );
+        )
+        .windows;
         assert_eq!(windows.len(), (len / window) as usize);
         let mut q = Gshare::new(10, 6, CounterKind::TwoBit).unwrap();
         let total = run(&mut q, spec.build().take_conditionals(len));
@@ -337,12 +401,13 @@ mod tests {
     fn windowed_cold_start_is_visible() {
         let spec = IbsBenchmark::Gs.spec();
         let mut p = Gshare::new(12, 8, CounterKind::TwoBit).unwrap();
-        let windows = run_windowed(
+        let windows = sim(
             &mut p,
             spec.build().take_conditionals(100_000),
-            10_000,
+            Mode::Windowed(10_000),
             NovelPolicy::Count,
-        );
+        )
+        .windows;
         assert!(
             windows[0] > *windows.last().unwrap(),
             "first (cold) window {} should exceed the last {}",
@@ -362,12 +427,13 @@ mod tests {
         let window = 2_000u64;
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             let mut windowed = Ideal::new(6, CounterKind::TwoBit).unwrap();
-            let windows = run_windowed(
+            let windows = sim(
                 &mut windowed,
                 IbsBenchmark::Nroff.spec().build().take_conditionals(len),
-                window,
+                Mode::Windowed(window),
                 policy,
-            );
+            )
+            .windows;
             assert_eq!(windows.len(), (len / window) as usize);
             let mut total = Ideal::new(6, CounterKind::TwoBit).unwrap();
             let r = run_with(
@@ -407,7 +473,13 @@ mod tests {
             BranchRecord::conditional(0x104, false),
             BranchRecord::conditional(0x108, false),
         ];
-        let windows = run_windowed(&mut p, records.into_iter(), 2, NovelPolicy::Count);
+        let windows = sim(
+            &mut p,
+            records.into_iter(),
+            Mode::Windowed(2),
+            NovelPolicy::Count,
+        )
+        .windows;
         assert_eq!(windows.len(), 2);
         assert!((windows[0] - 50.0).abs() < 1e-12);
         assert!((windows[1] - 100.0).abs() < 1e-12);
@@ -419,12 +491,13 @@ mod tests {
         let mut a = Gshare::new(10, 6, CounterKind::TwoBit).unwrap();
         let plain = run(&mut a, spec.build().take_conditionals(20_000));
         let mut b = Gshare::new(10, 6, CounterKind::TwoBit).unwrap();
-        let delayed = run_delayed(
+        let delayed = sim(
             &mut b,
             spec.build().take_conditionals(20_000),
+            Mode::Delayed(0),
             NovelPolicy::Count,
-            0,
-        );
+        )
+        .result;
         assert_eq!(plain, delayed);
     }
 
@@ -434,12 +507,13 @@ mod tests {
         let len = 60_000;
         let measure = |spec_str: &str, delay: usize| {
             let mut p = bpred_core::spec::parse_spec(spec_str).unwrap();
-            run_delayed(
+            sim(
                 &mut p,
                 spec.build().take_conditionals(len),
+                Mode::Delayed(delay),
                 NovelPolicy::Count,
-                delay,
             )
+            .result
             .mispredict_pct()
         };
         let gshare_penalty = measure("gshare:n=12,h=8", 16) - measure("gshare:n=12,h=8", 0);
@@ -465,12 +539,13 @@ mod tests {
         let mut cold = Gshare::new(10, 4, CounterKind::TwoBit).unwrap();
         let full = run(&mut cold, spec.build().take_conditionals(30_000));
         let mut warm = Gshare::new(10, 4, CounterKind::TwoBit).unwrap();
-        let warmed = run_warm(
+        let warmed = sim(
             &mut warm,
             spec.build().take_conditionals(30_000),
+            Mode::Warm(10_000),
             NovelPolicy::Count,
-            10_000,
-        );
+        )
+        .result;
         assert_eq!(warmed.conditional, 20_000);
         assert!(
             warmed.mispredict_pct() < full.mispredict_pct(),
@@ -481,12 +556,13 @@ mod tests {
     #[test]
     fn warmup_longer_than_trace_counts_nothing() {
         let mut p = AlwaysTaken::new();
-        let r = run_warm(
+        let r = sim(
             &mut p,
             IbsBenchmark::Verilog.spec().build().take_conditionals(100),
+            Mode::Warm(1_000),
             NovelPolicy::Count,
-            1_000,
-        );
+        )
+        .result;
         assert_eq!(r, RunResult::default());
     }
 

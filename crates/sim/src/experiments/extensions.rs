@@ -23,10 +23,11 @@
 //!   workloads (seed robustness).
 
 use super::helpers::{
-    bench_sweep_table, history_labels, sim_pct, size_labels, spec_sweep_table, stream,
+    bench_sweep_table, columns, history_labels, parsed, sim_pct, simulate, size_labels,
+    spec_sweep_table, stream,
 };
 use super::{ExperimentOpts, ExperimentOutput};
-use crate::engine;
+use crate::engine::{Mode, NovelPolicy};
 use crate::report::{pct, Table};
 use crate::runner::parallel_map;
 use bpred_aliasing::nature::AliasingNature;
@@ -34,6 +35,7 @@ use bpred_core::counter::CounterKind;
 use bpred_core::index::IndexFunction;
 use bpred_core::spec::parse_spec;
 use bpred_trace::mix::MultiProgram;
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 
@@ -156,10 +158,10 @@ pub(super) fn multiprogram(opts: &ExperimentOpts) -> ExperimentOutput {
             .sum::<f64>()
             / MIX.len() as f64;
         // The mixed run sees the same total number of branches.
-        let mut predictor = parse_spec(spec).expect("valid spec");
-        let mixed =
-            MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice).take_conditionals(len);
-        let mixed_pct = engine::run(&mut predictor, mixed).mispredict_pct();
+        let mixed: TraceColumns = MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice)
+            .take_conditionals(len)
+            .collect();
+        let mixed_pct = simulate(spec, &mixed, Mode::Plain, NovelPolicy::Count).mispredict_pct();
         (spec, solo_mean, mixed_pct)
     });
 
@@ -232,7 +234,6 @@ pub(super) fn encoding(opts: &ExperimentOpts) -> ExperimentOutput {
 
 pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
     use crate::duel::duel;
-    use crate::engine::NovelPolicy;
 
     // The paper's key pairings, as paired McNemar tests.
     let pairings: [(&str, &str, &str); 3] = [
@@ -267,12 +268,11 @@ pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
                 ],
             );
             let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-                let mut a = parse_spec(spec_a).expect("valid spec");
-                let mut b = parse_spec(spec_b).expect("valid spec");
+                let concrete = |spec| parsed(spec).concrete().expect("valid spec");
                 let result = duel(
-                    &mut a,
-                    &mut b,
-                    stream(bench, opts.len_for(bench)),
+                    concrete(spec_a),
+                    concrete(spec_b),
+                    &columns(bench, opts.len_for(bench)),
                     NovelPolicy::Count,
                 );
                 (bench, result)
@@ -308,8 +308,6 @@ pub(super) fn duel_verdicts(opts: &ExperimentOpts) -> ExperimentOutput {
 }
 
 pub(super) fn seeds(opts: &ExperimentOpts) -> ExperimentOutput {
-    use crate::engine;
-
     // Re-generate each workload under several master seeds and check that
     // the paper's headline comparison (gskew 3x4K vs the larger 16K
     // gshare) is stable across them — i.e. the conclusions are not
@@ -333,10 +331,11 @@ pub(super) fn seeds(opts: &ExperimentOpts) -> ExperimentOutput {
         for seed_offset in 0..SEEDS {
             let mut spec = bench.spec();
             spec.seed = spec.seed.wrapping_add(seed_offset * 0x1_0000);
+            // One generation per seed, shared by both predictors.
+            let trace: TraceColumns = spec.build().take_conditionals(len).collect();
             for (i, pred_spec) in specs.iter().enumerate() {
-                let mut predictor = parse_spec(pred_spec).expect("valid spec");
-                let pct = engine::run(&mut predictor, spec.build().take_conditionals(len))
-                    .mispredict_pct();
+                let pct =
+                    simulate(pred_spec, &trace, Mode::Plain, NovelPolicy::Count).mispredict_pct();
                 results[i].push(pct);
             }
         }
@@ -428,8 +427,6 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
 }
 
 pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
-    use crate::engine::{run_delayed, NovelPolicy};
-
     const DELAYS: [usize; 6] = [0, 2, 4, 8, 16, 32];
     let specs: [(&str, &str); 3] = [
         ("bimodal 16K (history-free)", "bimodal:n=14"),
@@ -446,12 +443,11 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
                 &labels,
                 opts,
                 |row, bench| {
-                    let mut p = parse_spec(spec).expect("valid spec");
-                    run_delayed(
-                        &mut p,
-                        stream(bench, opts.len_for(bench)),
+                    simulate(
+                        spec,
+                        &columns(bench, opts.len_for(bench)),
+                        Mode::Delayed(DELAYS[row]),
                         NovelPolicy::Count,
-                        DELAYS[row],
                     )
                     .mispredict_pct()
                 },
@@ -468,9 +464,8 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
 }
 
 pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
-    use bpred_core::gskew::Gskew;
-    use bpred_core::predictor::{BranchPredictor, Outcome};
-    use bpred_trace::record::BranchKind;
+    use bpred_core::gskew::{Gskew, GskewOf};
+    use bpred_core::predictor::{BranchPredictor, Outcome, Prediction};
 
     #[derive(Default, Clone, Copy)]
     struct Split {
@@ -480,28 +475,62 @@ pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
         split_wrong: u64,
     }
 
-    let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-        let mut p = Gskew::standard(12, 8).expect("valid configuration");
-        let mut counts = Split::default();
-        for r in stream(bench, opts.len_for(bench)) {
-            if r.kind == BranchKind::Conditional {
-                let unanimous = p.is_unanimous(r.pc);
-                let prediction = p.predict(r.pc);
-                let outcome = Outcome::from(r.taken);
-                let wrong = u64::from(prediction.outcome != outcome);
-                if unanimous {
-                    counts.unanimous += 1;
-                    counts.unanimous_wrong += wrong;
-                } else {
-                    counts.split += 1;
-                    counts.split_wrong += wrong;
-                }
-                p.update(r.pc, outcome);
-            } else {
-                p.record_unconditional(r.pc);
-            }
+    /// 3x4K gskew whose `step` also tallies each prediction by vote
+    /// margin (predict-then-update stays plain gskew).
+    struct Tally {
+        gskew: GskewOf<3, false, true>,
+        counts: Split,
+    }
+
+    impl BranchPredictor for Tally {
+        fn predict(&mut self, pc: u64) -> Prediction {
+            self.gskew.predict(pc)
         }
-        (bench, counts)
+        fn update(&mut self, pc: u64, outcome: Outcome) {
+            self.gskew.update(pc, outcome);
+        }
+        fn step(&mut self, pc: u64, outcome: Outcome) -> Prediction {
+            let unanimous = self.gskew.get().is_unanimous(pc);
+            let prediction = self.gskew.step(pc, outcome);
+            let wrong = u64::from(prediction.outcome != outcome);
+            let c = &mut self.counts;
+            if unanimous {
+                c.unanimous += 1;
+                c.unanimous_wrong += wrong;
+            } else {
+                c.split += 1;
+                c.split_wrong += wrong;
+            }
+            prediction
+        }
+        fn record_unconditional(&mut self, pc: u64) {
+            self.gskew.record_unconditional(pc);
+        }
+        fn name(&self) -> String {
+            self.gskew.name()
+        }
+        fn storage_bits(&self) -> u64 {
+            self.gskew.storage_bits()
+        }
+        fn reset(&mut self) {
+            self.gskew.reset();
+            self.counts = Split::default();
+        }
+    }
+
+    let rows = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
+        let gskew = Gskew::standard(12, 8).expect("valid configuration");
+        let mut tally = Tally {
+            gskew: GskewOf::new(gskew).expect("standard gskew is 3-bank skewed"),
+            counts: Split::default(),
+        };
+        crate::engine::simulate(
+            &mut tally,
+            &columns(bench, opts.len_for(bench)),
+            Mode::Plain,
+            NovelPolicy::Count,
+        );
+        (bench, tally.counts)
     });
 
     let mut table = Table::with_columns(

@@ -15,37 +15,27 @@ use bpred_trace::workload::IbsBenchmark;
 const BANK_LOG2: std::ops::RangeInclusive<u32> = 6..=14;
 const HISTORY: u32 = 4;
 
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    extrapolated: f64,
-    measured: f64,
+fn spec(bank_log2: u32) -> String {
+    format!("gskew:n={bank_log2},h={HISTORY},ctr=1,update=total")
 }
 
-fn measure(bench: IbsBenchmark, bank_log2: u32, len: u64) -> Cell {
-    let extrapolation = Extrapolator {
-        bank_entries: 1 << bank_log2,
-        history_bits: HISTORY,
-    }
-    .run(stream(bench, len), stream(bench, len));
-    let measured = sim_pct(
-        &format!("gskew:n={bank_log2},h={HISTORY},ctr=1,update=total"),
-        bench,
-        len,
-    );
-    Cell {
-        extrapolated: 100.0 * extrapolation.extrapolated_rate,
-        measured,
-    }
+/// Extrapolated and measured misprediction % of one benchmark at every
+/// bank size of `banks_log2`: one model walk serves all sizes.
+fn measure(bench: IbsBenchmark, banks_log2: &[u32], len: u64) -> Vec<(f64, f64)> {
+    let entries: Vec<u64> = banks_log2.iter().map(|&n| 1 << n).collect();
+    let extrapolations =
+        Extrapolator::run_sizes(HISTORY, &entries, stream(bench, len), stream(bench, len));
+    banks_log2
+        .iter()
+        .zip(extrapolations)
+        .map(|(&n, e)| (100.0 * e.extrapolated_rate, sim_pct(&spec(n), bench, len)))
+        .collect()
 }
 
 pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
     let banks: Vec<u32> = BANK_LOG2.collect();
-    let tasks: Vec<(u32, IbsBenchmark)> = banks
-        .iter()
-        .flat_map(|&n| IbsBenchmark::all().into_iter().map(move |b| (n, b)))
-        .collect();
-    let cells = parallel_map(tasks, opts.threads, |(n, bench)| {
-        measure(bench, n, opts.len_for(bench))
+    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
+        measure(bench, &banks, opts.len_for(bench))
     });
 
     let mut columns = vec!["bank entries".to_string()];
@@ -58,18 +48,16 @@ pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
         "Measured mispredict % (simulated 3-bank gskew: 1-bit, total update, h=4)",
         columns,
     );
-    let per_row = IbsBenchmark::all().len();
     for (i, &n) in banks.iter().enumerate() {
-        let row = &cells[i * per_row..(i + 1) * per_row];
         let label = format!("3x{}", 1u64 << n);
         extrapolated.push_row(
             std::iter::once(label.clone())
-                .chain(row.iter().map(|c| pct(c.extrapolated)))
+                .chain(per_bench.iter().map(|cells| pct(cells[i].0)))
                 .collect(),
         );
         measured.push_row(
             std::iter::once(label)
-                .chain(row.iter().map(|c| pct(c.measured)))
+                .chain(per_bench.iter().map(|cells| pct(cells[i].1)))
                 .collect(),
         );
     }
@@ -86,21 +74,17 @@ mod tests {
 
     #[test]
     fn model_tracks_simulation() {
-        let c = measure(IbsBenchmark::Verilog, 10, 60_000);
+        let (extrapolated, measured) = measure(IbsBenchmark::Verilog, &[10], 60_000)[0];
         // Same ballpark...
         assert!(
-            (c.extrapolated - c.measured).abs() < c.measured.max(2.0),
-            "extrapolated {} vs measured {}",
-            c.extrapolated,
-            c.measured
+            (extrapolated - measured).abs() < measured.max(2.0),
+            "extrapolated {extrapolated} vs measured {measured}"
         );
         // ...and the paper notes the model overestimates slightly; allow
         // a little slack for workload noise.
         assert!(
-            c.extrapolated > c.measured - 1.0,
-            "extrapolated {} unexpectedly far below measured {}",
-            c.extrapolated,
-            c.measured
+            extrapolated > measured - 1.0,
+            "extrapolated {extrapolated} unexpectedly far below measured {measured}"
         );
     }
 

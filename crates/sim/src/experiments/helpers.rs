@@ -1,8 +1,8 @@
 //! Shared plumbing for the experiment modules.
 
 use super::ExperimentOpts;
-use crate::engine::{self, NovelPolicy, RunResult};
-use crate::kernel::{self, PredictorKernel};
+use crate::engine::{self, Mode, NovelPolicy, RunResult};
+use crate::kernel;
 use crate::report::{pct, Table};
 use crate::resume;
 use crate::runner::parallel_map;
@@ -12,8 +12,10 @@ use bpred_core::spec::PredictorSpec;
 use bpred_results::record::CellKey;
 use bpred_trace::cache;
 use bpred_trace::record::BranchRecord;
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Process-global workload seed base used by every experiment helper.
@@ -41,6 +43,37 @@ pub fn stream(bench: IbsBenchmark, len: u64) -> impl Iterator<Item = BranchRecor
     cache::stream_seeded(bench, len, workload_seed())
 }
 
+/// The column view of [`stream`]'s trace, from the same cache entry.
+pub fn columns(bench: IbsBenchmark, len: u64) -> Arc<TraceColumns> {
+    cache::columns_seeded(bench, len, workload_seed())
+}
+
+/// Parse an experiment-owned spec string.
+///
+/// # Panics
+///
+/// Panics on an invalid spec — experiment code owns its specs.
+pub(crate) fn parsed(spec: &str) -> PredictorSpec {
+    PredictorSpec::parse(spec).unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"))
+}
+
+/// Simulate an experiment-owned spec over `columns` under `mode`
+/// ([`engine::simulate_spec`]).
+///
+/// # Panics
+///
+/// Panics on an invalid spec — experiment code owns its specs.
+pub(crate) fn simulate(
+    spec: &str,
+    columns: &TraceColumns,
+    mode: Mode,
+    policy: NovelPolicy,
+) -> RunResult {
+    engine::simulate_spec(&parsed(spec), columns, mode, policy)
+        .unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"))
+        .result
+}
+
 /// Simulate a predictor spec over one benchmark and return the
 /// misprediction percentage (novel references counted normally).
 ///
@@ -64,19 +97,10 @@ pub fn sim_pct_with(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPoli
 fn sim_cell(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPolicy) -> RunResult {
     let seed = workload_seed();
     let simulate = || {
-        // Kernel fast path when the spec has one (bit-identical to the
-        // dyn engine under either novel policy); `dyn` otherwise.
-        let structured =
-            PredictorSpec::parse(spec).unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"));
-        if let Some(mut kernel) = PredictorKernel::from_spec(&structured) {
-            return kernel.run(&cache::columns_seeded(bench, len, seed));
-        }
-        let mut predictor = structured
-            .build()
-            .unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"));
-        engine::run_with(
-            &mut predictor,
-            cache::stream_seeded(bench, len, seed),
+        simulate(
+            spec,
+            &cache::columns_seeded(bench, len, seed),
+            Mode::Plain,
             policy,
         )
     };
@@ -132,10 +156,10 @@ pub fn bench_sweep_table(
 /// Build a benchmark-per-column table where row `i` is the predictor
 /// spec `spec_for_row(i)`, batched: each benchmark's column is produced
 /// by materializing the trace once (through the process-wide cache) and
-/// driving *all* row predictors over it in a single
-/// [`engine::run_many`] pass. Bit-identical to calling [`sim_pct`] per
-/// cell, but an R-row table costs one trace walk per benchmark instead
-/// of R.
+/// driving every row predictor over its shared column view
+/// ([`kernel::run_specs`]). Bit-identical to calling [`sim_pct`] per
+/// cell, but an R-row table costs one trace generation per benchmark
+/// instead of R.
 ///
 /// Novel references are counted normally ([`NovelPolicy::Count`]), as in
 /// [`sim_pct`]; use [`spec_sweep_table_with`] for an explicit policy.
@@ -177,11 +201,9 @@ pub fn spec_sweep_table_with(
     let seed = workload_seed();
     // One task per benchmark: the per-benchmark trace is the shared
     // resource, so it is also the unit of parallelism. Within a
-    // benchmark, rows route through `kernel::run_specs` — supported
-    // specs run as monomorphized kernels split across the leftover
-    // worker budget, the rest ride one batched `run_many` pass. With a
-    // results store attached, stored rows are adopted and only the
-    // missing ones are simulated.
+    // benchmark, rows run through `kernel::run_specs`, split across the
+    // leftover worker budget. With a results store attached, stored rows
+    // are adopted and only the missing ones are simulated.
     let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
     let per_bench: Vec<Vec<f64>> =
         parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {

@@ -37,16 +37,14 @@ fn measure(bench: IbsBenchmark, history_bits: u32, len: u64) -> Row {
         if record.kind == BranchKind::Conditional {
             conditional += 1;
             let outcome = Outcome::from(record.taken);
-            let p1 = one.predict(record.pc);
+            let p1 = one.step(record.pc, outcome);
             if !p1.novel && p1.outcome != outcome {
                 miss1 += 1;
             }
-            one.update(record.pc, outcome);
-            let p2 = two.predict(record.pc);
+            let p2 = two.step(record.pc, outcome);
             if !p2.novel && p2.outcome != outcome {
                 miss2 += 1;
             }
-            two.update(record.pc, outcome);
         } else {
             one.record_unconditional(record.pc);
             two.record_unconditional(record.pc);

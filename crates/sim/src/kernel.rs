@@ -1,341 +1,33 @@
-//! Monomorphized batch kernels: the devirtualized simulation fast path.
+//! Batched entry points over one shared trace: a list of predictor
+//! specs, or a three-C aliasing grid, fanned out across worker threads
+//! that all read the same [`TraceColumns`].
 //!
-//! The general engine drives `Box<dyn BranchPredictor>` objects — two
-//! virtual calls per record per predictor — over an array-of-structs
-//! trace. For the tag-less table predictors that dominate every sweep in
-//! the paper (bimodal, gshare, gselect and the gskew family) nothing
-//! about the predict/update pair actually needs dynamic dispatch: the
-//! whole transition is a table index computation, a counter compare and
-//! a saturating step. This module compiles that transition into one
-//! tight loop per predictor shape, walking the structure-of-arrays
-//! [`TraceColumns`] view instead of `BranchRecord` structs.
-//!
-//! The contract is **bit identity**: for every supported spec,
-//! [`PredictorKernel::run`] produces exactly the [`RunResult`] that
-//! [`engine::run_with`] produces for the predictor built from the same
-//! spec — same index functions ([`IndexFunction::index`],
-//! [`skew_index`]), same counter semantics, same history updates, and
-//! the index is computed *once* per conditional record (legal because
-//! the dyn path's `update` recomputes it under the unchanged
-//! prediction-time history). Kernel predictors never flag a prediction
-//! *novel*, so the result is also independent of the
-//! [`NovelPolicy`]. The equivalence is pinned by a proptest suite
-//! (`tests/kernel_equiv.rs`) and by the campaign regression gate.
-//!
-//! [`run_specs`] is the batching entry point used by the experiment
-//! sweeps: it parses each spec ([`PredictorSpec::parse`]), routes the
-//! supported ones through kernels running in parallel over one shared
-//! column view, and falls back to a single batched
-//! [`engine::run_many`] pass for everything else.
+//! [`run_specs`] is the sweep entry point of the experiments and the
+//! CLI: every row becomes its concrete predictor type inside its own
+//! task and runs through [`engine::simulate_spec`], so no row pays for
+//! dynamic dispatch and at most `threads` predictors are alive at once.
 
-use crate::engine::{self, NovelPolicy, RunResult};
+use crate::engine::{self, Mode, NovelPolicy, RunResult};
 use crate::runner::parallel_map;
 use crate::timing;
 use bpred_aliasing::batch::{self, DmCounts, FaCounts, ThreeCCell};
 use bpred_aliasing::three_c::ThreeCCounts;
-use bpred_core::counter::CounterKind;
 use bpred_core::error::ConfigError;
-use bpred_core::gskew::UpdatePolicy;
-use bpred_core::index::IndexFunction;
-use bpred_core::skew::skew_index;
 use bpred_core::spec::PredictorSpec;
-use bpred_core::vector::InfoVector;
 use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::TraceColumns;
 use std::time::Instant;
 
-/// One 2-bit saturating counter step (the [`CounterKind::TwoBit`]
-/// transition of `bpred_core::counter`).
-#[inline(always)]
-fn step2(cell: u8, taken: bool) -> u8 {
-    if taken {
-        if cell < 3 {
-            cell + 1
-        } else {
-            cell
-        }
-    } else {
-        cell.saturating_sub(1)
-    }
-}
-
-#[inline(always)]
-fn hist_mask(bits: u32) -> u64 {
-    if bits == 0 {
-        0
-    } else if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
-/// A single-bank kernel: bimodal, gshare or gselect (2-bit counters).
-#[derive(Debug, Clone)]
-pub struct OneBankKernel {
-    func: IndexFunction,
-    n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
-    table: Vec<u8>,
-}
-
-impl OneBankKernel {
-    fn new(func: IndexFunction, n: u32, hist_bits: u32) -> OneBankKernel {
-        OneBankKernel {
-            func,
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            table: vec![CounterKind::TwoBit.weakly_taken(); 1usize << n],
-        }
-    }
-
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        // Dispatch once, outside the loop: each closure pins the variant,
-        // so `IndexFunction::index` const-folds its match inside the
-        // monomorphized copy of `drive`.
-        match self.func {
-            IndexFunction::Bimodal => self.drive(cols, |v, n| IndexFunction::Bimodal.index(v, n)),
-            IndexFunction::Gshare => self.drive(cols, |v, n| IndexFunction::Gshare.index(v, n)),
-            IndexFunction::Gselect => self.drive(cols, |v, n| IndexFunction::Gselect.index(v, n)),
-        }
-    }
-
-    #[inline(always)]
-    fn drive(&mut self, cols: &TraceColumns, index: impl Fn(&InfoVector, u32) -> u64) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let hist_bits = self.hist_bits;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let table = &mut self.table[..];
-        let tmask = table.len() - 1;
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let v = InfoVector::new(pc, hist, hist_bits);
-                // The extra mask is value-neutral (the index is already
-                // `n` bits) but lets the compiler drop the bounds check.
-                let idx = index(&v, n) as usize & tmask;
-                let cell = table[idx];
-                result.conditional += 1;
-                result.mispredicted += u64::from((cell > 1) != taken);
-                table[idx] = step2(cell, taken);
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
-            }
-        }
-        self.hist = hist;
-        result
-    }
-}
-
-/// A gskew-family kernel: 3 or 5 banks of 2-bit counters in one flat
-/// array, partial or total update, plain / enhanced / identical-indexing
-/// variants.
-#[derive(Debug, Clone)]
-pub struct GskewKernel {
-    banks: usize,
-    n: u32,
-    hist_bits: u32,
-    hist_mask: u64,
-    hist: u64,
-    partial: bool,
-    enhanced: bool,
-    identical: bool,
-    tables: Vec<u8>,
-}
-
-impl GskewKernel {
-    fn new(
-        n: u32,
-        hist_bits: u32,
-        banks: usize,
-        update: UpdatePolicy,
-        enhanced: bool,
-        skewing: bool,
-    ) -> GskewKernel {
-        GskewKernel {
-            banks,
-            n,
-            hist_bits,
-            hist_mask: hist_mask(hist_bits),
-            hist: 0,
-            partial: update == UpdatePolicy::Partial,
-            enhanced,
-            identical: !skewing,
-            tables: vec![CounterKind::TwoBit.weakly_taken(); banks << n],
-        }
-    }
-
-    fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        match self.banks {
-            3 => self.drive::<3>(cols),
-            5 => self.drive::<5>(cols),
-            _ => unreachable!("from_spec admits 3 or 5 banks only"),
-        }
-    }
-
-    #[inline(always)]
-    fn drive<const B: usize>(&mut self, cols: &TraceColumns) -> RunResult {
-        let mut result = RunResult::default();
-        let n = self.n;
-        let addr_mask = (1u64 << n) - 1;
-        let bank_size = 1usize << n;
-        let hist_bits = self.hist_bits;
-        let hmask = self.hist_mask;
-        let mut hist = self.hist;
-        let partial = self.partial;
-        let enhanced = self.enhanced;
-        let identical = self.identical;
-        let tables = &mut self.tables[..];
-        for (i, &pc) in cols.pcs().iter().enumerate() {
-            if cols.is_conditional(i) {
-                let taken = cols.taken(i);
-                let addr = pc >> 2;
-                // InfoVector::packed for a pre-masked history.
-                let packed = if hist_bits >= 64 {
-                    hist
-                } else {
-                    (addr << hist_bits) | hist
-                };
-                let mut idx = [0usize; B];
-                let mut vote = [false; B];
-                let mut votes_taken = 0usize;
-                for (b, (slot_idx, slot_vote)) in idx.iter_mut().zip(vote.iter_mut()).enumerate() {
-                    let raw = if b == 0 && enhanced {
-                        addr & addr_mask
-                    } else if identical {
-                        skew_index(0, packed, n)
-                    } else {
-                        skew_index(b, packed, n)
-                    };
-                    let at = b * bank_size + (raw as usize & (bank_size - 1));
-                    let v = tables[at] > 1;
-                    *slot_idx = at;
-                    *slot_vote = v;
-                    votes_taken += usize::from(v);
-                }
-                let overall = 2 * votes_taken > B;
-                result.conditional += 1;
-                result.mispredicted += u64::from(overall != taken);
-                // Partial update spares dissenting banks only when the
-                // overall prediction was correct (section 4.1).
-                let train_all = !partial || overall != taken;
-                for b in 0..B {
-                    if train_all || vote[b] == taken {
-                        tables[idx[b]] = step2(tables[idx[b]], taken);
-                    }
-                }
-                hist = ((hist << 1) | u64::from(taken)) & hmask;
-            } else {
-                hist = ((hist << 1) | 1) & hmask;
-            }
-        }
-        self.hist = hist;
-        result
-    }
-}
-
-/// A monomorphized run loop for one supported predictor shape.
-///
-/// Build one with [`PredictorKernel::from_spec`]; `None` means the spec
-/// has no fast path and must go through the `dyn` engine.
-#[derive(Debug, Clone)]
-pub enum PredictorKernel {
-    /// Bimodal / gshare / gselect.
-    OneBank(OneBankKernel),
-    /// The gskew family (plain, enhanced, identical-indexing ablation).
-    Gskew(GskewKernel),
-}
-
-impl PredictorKernel {
-    /// The kernel for `spec`, when one exists.
-    ///
-    /// Supported: `bimodal`, `gshare`, `gselect` and `gskew`/`egskew`
-    /// (3 or 5 banks, partial or total update, `skew=off` included) with
-    /// 2-bit counters and in-range parameters. Anything else — other
-    /// families, other counter widths, out-of-range values — returns
-    /// `None` so the caller falls back to [`PredictorSpec::build`] and
-    /// the `dyn` engine (where invalid values produce their usual
-    /// errors).
-    pub fn from_spec(spec: &PredictorSpec) -> Option<PredictorKernel> {
-        match *spec {
-            PredictorSpec::Bimodal {
-                n,
-                ctr: CounterKind::TwoBit,
-            } if (1..=30).contains(&n) => Some(PredictorKernel::OneBank(OneBankKernel::new(
-                IndexFunction::Bimodal,
-                n,
-                0,
-            ))),
-            PredictorSpec::Gshare {
-                n,
-                h,
-                ctr: CounterKind::TwoBit,
-            } if (1..=30).contains(&n) && h <= 64 => Some(PredictorKernel::OneBank(
-                OneBankKernel::new(IndexFunction::Gshare, n, h),
-            )),
-            PredictorSpec::Gselect {
-                n,
-                h,
-                ctr: CounterKind::TwoBit,
-            } if (1..=30).contains(&n) && h <= 64 => Some(PredictorKernel::OneBank(
-                OneBankKernel::new(IndexFunction::Gselect, n, h),
-            )),
-            PredictorSpec::Gskew {
-                n,
-                h,
-                banks,
-                ctr: CounterKind::TwoBit,
-                update,
-                enhanced,
-                skewing,
-            } if (2..=30).contains(&n) && h <= 64 && (banks == 3 || banks == 5) => Some(
-                PredictorKernel::Gskew(GskewKernel::new(n, h, banks, update, enhanced, skewing)),
-            ),
-            _ => None,
-        }
-    }
-
-    /// Whether `spec` has a kernel fast path.
-    pub fn supports(spec: &PredictorSpec) -> bool {
-        PredictorKernel::from_spec(spec).is_some()
-    }
-
-    /// Drive the kernel over a whole column view, accounting every
-    /// conditional record.
-    ///
-    /// Bit-identical to [`engine::run_with`] on the equivalent predictor
-    /// under *either* [`NovelPolicy`] (kernel predictions are never
-    /// novel). Time spent is credited to the kernel path of
-    /// [`crate::timing`].
-    pub fn run(&mut self, cols: &TraceColumns) -> RunResult {
-        let start = Instant::now();
-        let result = match self {
-            PredictorKernel::OneBank(k) => k.run(cols),
-            PredictorKernel::Gskew(k) => k.run(cols),
-        };
-        timing::record_kernel(cols.len() as u64, start.elapsed());
-        result
-    }
-}
-
-/// Run every spec over one trace, kernels first: supported specs execute
-/// as monomorphized loops split across up to `threads` workers sharing
-/// `columns`, the rest ride a single batched [`engine::run_many`] pass
-/// over `records`. Results keep the order of `specs` and are
-/// bit-identical to a pure `run_many` over the same list.
+/// Run every spec over one trace, one task per spec, on up to `threads`
+/// workers sharing `columns` (`records` is the same trace as records;
+/// only its length is checked). Results keep the order of `specs` and
+/// equal [`engine::run_many`] over the built predictors.
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] for malformed specs and (via
-/// [`PredictorSpec::build`] on the fallback rows) out-of-range values —
-/// before any simulation runs.
+/// Returns the first [`ConfigError`] in spec order: malformed specs
+/// before any simulation runs, out-of-range values once the tasks that
+/// build them have run.
 pub fn run_specs(
     specs: &[String],
     records: &[BranchRecord],
@@ -348,35 +40,11 @@ pub fn run_specs(
         .iter()
         .map(|s| PredictorSpec::parse(s))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut kernels: Vec<(usize, PredictorKernel)> = Vec::new();
-    let mut dyn_rows: Vec<usize> = Vec::new();
-    for (i, spec) in parsed.iter().enumerate() {
-        match PredictorKernel::from_spec(spec) {
-            Some(kernel) => kernels.push((i, kernel)),
-            None => dyn_rows.push(i),
-        }
-    }
-    // Build the fallback predictors up front so configuration errors
-    // surface before any pass starts.
-    let mut fallback = dyn_rows
-        .iter()
-        .map(|&i| parsed[i].build())
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let mut results = vec![RunResult::default(); specs.len()];
-    let kernel_results = parallel_map(kernels, threads, |(i, mut kernel)| (i, kernel.run(columns)));
-    for (i, result) in kernel_results {
-        results[i] = result;
-    }
-    if !fallback.is_empty() {
-        for (&i, result) in dyn_rows
-            .iter()
-            .zip(engine::run_many(&mut fallback, records, policy))
-        {
-            results[i] = result;
-        }
-    }
-    Ok(results)
+    parallel_map(parsed, threads, |spec| {
+        engine::simulate_spec(&spec, columns, Mode::Plain, policy).map(|sim| sim.result)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Batched three-C classification of a whole `(size × index-fn ×
@@ -468,88 +136,40 @@ fn ms_since(start: Instant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpred_core::index::IndexFunction;
     use bpred_core::spec::parse_spec;
     use bpred_trace::cache;
     use bpred_trace::workload::IbsBenchmark;
 
-    fn equivalent(spec: &str, bench: IbsBenchmark, len: u64) {
-        let records = cache::materialize(bench, len);
-        let cols = TraceColumns::from_records(&records);
-        let mut kernel =
-            PredictorKernel::from_spec(&PredictorSpec::parse(spec).unwrap()).expect("supported");
-        let fast = kernel.run(&cols);
-        let mut dyn_p = parse_spec(spec).unwrap();
-        let slow = engine::run_with(&mut dyn_p, records.iter().copied(), NovelPolicy::Count);
-        assert_eq!(fast, slow, "{spec} diverges from the dyn path");
-    }
-
     #[test]
-    fn kernels_match_the_dyn_engine() {
-        for spec in [
-            "bimodal:n=8",
-            "gshare:n=10,h=4",
-            "gshare:n=8,h=12", // folded long history
-            "gshare:n=10,h=0",
-            "gselect:n=10,h=4",
-            "gselect:n=6,h=10", // degenerate history-only indexing
-            "gskew:n=8,h=4",
-            "gskew:n=8,h=4,update=total",
-            "gskew:n=8,h=4,banks=5",
-            "gskew:n=8,h=4,skew=off",
-            "egskew:n=8,h=6",
-        ] {
-            equivalent(spec, IbsBenchmark::Groff, 6_000);
-        }
-    }
-
-    #[test]
-    fn unsupported_specs_have_no_kernel() {
-        for spec in [
-            "mcfarling:n=10,h=8",
-            "ideal:h=4",
-            "gshare:n=10,h=4,ctr=1", // 1-bit counters: dyn only
-            "gshare:n=10,h=4,ctr=3",
-            "gshare:n=0",  // out of range: dyn path reports the error
-            "gshare:n=31", // out of range: dyn path reports the error
-            "gskew:n=1,h=4",
-            "always-taken",
-            "2bcgskew:n=8,h=8",
-        ] {
-            let parsed = PredictorSpec::parse(spec).unwrap();
-            assert!(
-                PredictorKernel::from_spec(&parsed).is_none(),
-                "{spec} should not have a fast path"
-            );
-        }
-    }
-
-    #[test]
-    fn run_specs_mixes_kernel_and_dyn_rows_in_order() {
+    fn run_specs_matches_run_many_in_order() {
         let bench = IbsBenchmark::Verilog;
         let len = 5_000;
         let records = cache::materialize(bench, len);
         let cols = TraceColumns::from_records(&records);
         let specs: Vec<String> = [
-            "gshare:n=9,h=4",    // kernel
-            "mcfarling:n=9,h=6", // dyn fallback
-            "gskew:n=8,h=4",     // kernel
-            "ideal:h=4",         // dyn fallback
+            "gshare:n=9,h=4",
+            "mcfarling:n=9,h=6",
+            "gskew:n=8,h=4",
+            "ideal:h=4",
         ]
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let routed = run_specs(&specs, &records, &cols, NovelPolicy::Count, 2).unwrap();
-        let mut predictors: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
-        let reference = engine::run_many(&mut predictors, &records, NovelPolicy::Count);
-        assert_eq!(routed, reference);
+        for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
+            let routed = run_specs(&specs, &records, &cols, policy, 2).unwrap();
+            let mut predictors: Vec<_> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
+            let reference = engine::run_many(&mut predictors, &records, policy);
+            assert_eq!(routed, reference, "{policy:?}");
+        }
     }
 
     #[test]
     fn run_specs_surfaces_config_errors() {
         let records = cache::materialize(IbsBenchmark::Verilog, 100);
         let cols = TraceColumns::from_records(&records);
-        let bad = vec!["gshare:n=0".to_string()];
-        assert!(run_specs(&bad, &records, &cols, NovelPolicy::Count, 1).is_err());
+        let bad = vec!["gshare:n=9".to_string(), "gshare:n=0".to_string()];
+        assert!(run_specs(&bad, &records, &cols, NovelPolicy::Count, 2).is_err());
         let unknown = vec!["tage:n=12".to_string()];
         assert!(run_specs(&unknown, &records, &cols, NovelPolicy::Count, 1).is_err());
     }
@@ -581,16 +201,5 @@ mod tests {
                 .run_counts(records.iter().copied());
             assert_eq!(*counts, reference, "{cell:?}");
         }
-    }
-
-    #[test]
-    fn novel_policy_is_irrelevant_on_the_fast_path() {
-        let records = cache::materialize(IbsBenchmark::Gs, 4_000);
-        let cols = TraceColumns::from_records(&records);
-        let specs = vec!["gskew:n=8,h=6".to_string()];
-        let count = run_specs(&specs, &records, &cols, NovelPolicy::Count, 1).unwrap();
-        let exclude = run_specs(&specs, &records, &cols, NovelPolicy::Exclude, 1).unwrap();
-        assert_eq!(count, exclude);
-        assert_eq!(count[0].novel, 0);
     }
 }

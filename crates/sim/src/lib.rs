@@ -3,21 +3,22 @@
 //! Drives any [`bpred_core`] predictor over any [`bpred_trace`] workload
 //! and regenerates every table and figure of the paper:
 //!
-//! * [`engine`] — the trace-driven predict/update loop and misprediction
-//!   accounting (including the paper's exclusion of compulsory references
-//!   for the unaliased predictor), plus warmup, windowed-phase and
-//!   delayed-update modes.
+//! * [`engine`] — [`engine::simulate`], the one trace-driven loop: a
+//!   fused predict-and-train step per conditional branch, generic over
+//!   the predictor type, with misprediction accounting (including the
+//!   paper's exclusion of compulsory references for the unaliased
+//!   predictor) and plain, warmup, delayed-update and windowed-phase
+//!   modes.
 //! * [`duel`] — lockstep two-predictor comparison with a McNemar paired
 //!   significance test.
 //! * [`experiments`] — the registry of reproducible experiments (`table1`,
 //!   `table2`, `fig1` … `fig12`, ablations and extensions), each emitting
 //!   renderable tables.
 //! * [`report`] — aligned-text and CSV table rendering.
-//! * [`kernel`] — monomorphized batch run loops for the tag-less table
-//!   predictors, bit-identical to the `dyn` engine but walking
-//!   structure-of-arrays trace columns.
-//! * [`timing`] — process-wide records/sec counters for the kernel and
-//!   `dyn` paths.
+//! * [`kernel`] — batched entry points fanning a spec list or a three-C
+//!   grid out over worker threads sharing one trace's columns.
+//! * [`timing`] — process-wide records/sec counters for concrete-type and
+//!   `dyn` runs of the engine.
 //! * [`runner`] — order-preserving parallel sweeps.
 //! * [`resume`] — results-store integration: persist simulated cells and
 //!   skip fingerprint-identical ones on reruns.
@@ -51,9 +52,11 @@ pub mod timing;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::duel::{duel, DuelResult};
-    pub use crate::engine::{run, run_many, run_with, NovelPolicy, RunResult};
+    pub use crate::engine::{
+        run, run_many, run_with, simulate, simulate_spec, Mode, NovelPolicy, RunResult, Simulation,
+    };
     pub use crate::experiments::{ExperimentOpts, ExperimentOutput, ALL_IDS};
-    pub use crate::kernel::{run_specs, PredictorKernel};
+    pub use crate::kernel::run_specs;
     pub use crate::report::Table;
     pub use crate::runner::parallel_map;
     pub use crate::timing::EngineTiming;

@@ -1,18 +1,17 @@
 //! Process-wide engine throughput counters.
 //!
-//! The engine's two simulation paths — the monomorphized [`kernel`]
-//! fast path and the `Box<dyn BranchPredictor>` fallback — report how
-//! many record applications they executed and how long they spent, so
-//! the CLI can print records/sec under `--verbose` and the `bench`
-//! subcommand can track the speedup over time.
+//! [`crate::engine::simulate`] reports how many record applications each
+//! run executed and how long it took, so the CLI can print records/sec
+//! under `--verbose` and benchmarks can read per-layer rates. Runs over
+//! a concrete predictor type are credited to the *kernel* counters, runs
+//! over `dyn BranchPredictor` / `Box<dyn BranchPredictor>` to the *dyn*
+//! counters; the three-C aliasing units ([`crate::kernel`]) credit the
+//! kernel counters too.
 //!
-//! One *record application* is one record driven through one predictor:
-//! a `run_many` pass over `R` records with `P` predictors counts `R * P`
-//! applications, which makes the dyn and kernel rates directly
-//! comparable. Durations are summed across worker threads, so the
+//! One *record application* is one record driven through one simulated
+//! predictor: a pass over `R` records with `P` predictors counts `R * P`
+//! applications. Durations are summed across worker threads, so the
 //! reported rate is a per-core throughput, not wall clock.
-//!
-//! [`kernel`]: crate::kernel
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -25,10 +24,10 @@ static DYN_NANOS: AtomicU64 = AtomicU64::new(0);
 /// A snapshot of the engine's per-path throughput counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineTiming {
-    /// Record applications executed by the kernel fast path.
+    /// Record applications executed over concrete predictor types.
     pub kernel_applications: u64,
-    /// CPU nanoseconds spent in the kernel fast path (summed across
-    /// workers).
+    /// CPU nanoseconds spent over concrete predictor types (summed
+    /// across workers).
     pub kernel_nanos: u64,
     /// Record applications executed through `dyn BranchPredictor`.
     pub dyn_applications: u64,
@@ -69,7 +68,7 @@ fn rate(applications: u64, nanos: u64) -> f64 {
 }
 
 /// Credit `applications` record applications over `elapsed` to the
-/// kernel fast path.
+/// kernel (concrete-type) counters.
 pub fn record_kernel(applications: u64, elapsed: Duration) {
     KERNEL_APPLICATIONS.fetch_add(applications, Ordering::Relaxed);
     KERNEL_NANOS.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);

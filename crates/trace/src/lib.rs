@@ -13,7 +13,7 @@
 //!   traces (`Arc<[BranchRecord]>` per `(benchmark, len)`), so repeated
 //!   sweeps generate each trace once.
 //! * [`soa`] — [`soa::TraceColumns`], the structure-of-arrays view of a
-//!   trace that the simulation kernels walk; memoized per cached trace.
+//!   trace that the simulation engine walks; memoized per cached trace.
 //! * [`program`] — the synthetic CFG program model and its
 //!   [`program::Walker`].
 //! * [`gen`] — random program generation with Zipf routine frequencies.

@@ -1,12 +1,14 @@
 //! Structure-of-arrays view of a materialized trace.
 //!
-//! The simulation fast path (`bpred-sim`'s kernel layer) walks a trace as
-//! parallel columns instead of an array of [`BranchRecord`] structs: the
-//! 24-byte padded record becomes one `u64` pc, two packed bitset bits
-//! (taken, conditional) and one `u8` kind code per record — about 9.3
-//! bytes each, and the hot predict/update loop only ever touches the pc
-//! column and two bit lookups. Columns are built once per cached trace
-//! and memoized alongside the records (see [`crate::cache::columns`]).
+//! The simulation engine (`bpred-sim`'s `engine::simulate`) walks a
+//! trace as parallel columns instead of an array of [`BranchRecord`]
+//! structs: the 24-byte padded record becomes one `u64` pc, two packed
+//! bitset bits (taken, conditional) and one `u8` kind code per record —
+//! about 9.3 bytes each, and the hot predict/update loop only ever
+//! touches the pc column and two bit words per 64 records. Columns are
+//! built once per cached trace and memoized alongside the records (see
+//! [`crate::cache::columns`]), or collected straight from a record
+//! stream.
 
 use crate::record::{BranchKind, BranchRecord};
 
@@ -28,6 +30,40 @@ pub struct TraceColumns {
     conditional_count: u64,
 }
 
+/// Columns straight from a record stream, without materializing the
+/// records first (the record stream of a one-off workload is walked
+/// once into its ~9.3-byte-per-record column form).
+impl FromIterator<BranchRecord> for TraceColumns {
+    fn from_iter<I: IntoIterator<Item = BranchRecord>>(records: I) -> Self {
+        let records = records.into_iter();
+        let mut columns = TraceColumns::with_capacity(records.size_hint().0);
+        columns.extend(records);
+        columns
+    }
+}
+
+impl Extend<BranchRecord> for TraceColumns {
+    fn extend<I: IntoIterator<Item = BranchRecord>>(&mut self, records: I) {
+        for r in records {
+            let i = self.len;
+            if i.is_multiple_of(64) {
+                self.taken.push(0);
+                self.conditional.push(0);
+            }
+            self.pc.push(r.pc);
+            self.kind.push(r.kind.code());
+            if r.taken {
+                self.taken[i >> 6] |= 1 << (i & 63);
+            }
+            if r.kind == BranchKind::Conditional {
+                self.conditional[i >> 6] |= 1 << (i & 63);
+                self.conditional_count += 1;
+            }
+            self.len += 1;
+        }
+    }
+}
+
 #[inline]
 fn bit(words: &[u64], i: usize) -> bool {
     (words[i >> 6] >> (i & 63)) & 1 == 1
@@ -36,31 +72,19 @@ fn bit(words: &[u64], i: usize) -> bool {
 impl TraceColumns {
     /// Decompose `records` into columns.
     pub fn from_records(records: &[BranchRecord]) -> TraceColumns {
-        let len = records.len();
-        let words = len.div_ceil(64);
-        let mut pc = Vec::with_capacity(len);
-        let mut taken = vec![0u64; words];
-        let mut conditional = vec![0u64; words];
-        let mut kind = Vec::with_capacity(len);
-        let mut conditional_count = 0u64;
-        for (i, r) in records.iter().enumerate() {
-            pc.push(r.pc);
-            kind.push(r.kind.code());
-            if r.taken {
-                taken[i >> 6] |= 1 << (i & 63);
-            }
-            if r.kind == BranchKind::Conditional {
-                conditional[i >> 6] |= 1 << (i & 63);
-                conditional_count += 1;
-            }
-        }
+        let mut columns = TraceColumns::with_capacity(records.len());
+        columns.extend(records.iter().copied());
+        columns
+    }
+
+    fn with_capacity(len: usize) -> TraceColumns {
         TraceColumns {
-            pc,
-            taken,
-            conditional,
-            kind,
-            len,
-            conditional_count,
+            pc: Vec::with_capacity(len),
+            taken: Vec::with_capacity(len.div_ceil(64)),
+            conditional: Vec::with_capacity(len.div_ceil(64)),
+            kind: Vec::with_capacity(len),
+            len: 0,
+            conditional_count: 0,
         }
     }
 
@@ -111,6 +135,18 @@ impl TraceColumns {
     #[inline]
     pub fn kind(&self, i: usize) -> BranchKind {
         BranchKind::from_code(self.kind[i]).expect("column codes come from BranchKind::code")
+    }
+
+    /// The records in blocks of 64: each block's pcs with its
+    /// conditional and taken bit words (bit `j` describes record `j` of
+    /// the block) — one load of each bitset per 64 records for loops
+    /// that walk the whole trace.
+    #[inline]
+    pub fn blocks(&self) -> impl Iterator<Item = (&[u64], u64, u64)> + '_ {
+        self.pc
+            .chunks(64)
+            .zip(self.conditional.iter().zip(&self.taken))
+            .map(|(pcs, (&conditional, &taken))| (pcs, conditional, taken))
     }
 
     /// The pc column as a slice (for kernels that index it directly).
@@ -166,6 +202,36 @@ mod tests {
             assert_eq!(cols.kind(i), r.kind);
         }
         assert_eq!(cols.pcs().len(), records.len());
+    }
+
+    #[test]
+    fn collecting_a_stream_equals_from_records() {
+        let records: Vec<BranchRecord> = IbsBenchmark::Gs
+            .spec()
+            .build()
+            .take_conditionals(3_000)
+            .collect();
+        let streamed: TraceColumns = IbsBenchmark::Gs
+            .spec()
+            .build()
+            .take_conditionals(3_000)
+            .collect();
+        let sliced = TraceColumns::from_records(&records);
+        assert_eq!(streamed, sliced);
+        assert_eq!(
+            sliced.heap_bytes(),
+            8 * records.len() + 16 * records.len().div_ceil(64) + records.len()
+        );
+        let blocks: Vec<_> = sliced.blocks().collect();
+        assert_eq!(blocks.len(), records.len().div_ceil(64));
+        for (b, (pcs, conditional, taken)) in blocks.into_iter().enumerate() {
+            for (j, &pc) in pcs.iter().enumerate() {
+                let r = records[64 * b + j];
+                assert_eq!(pc, r.pc);
+                assert_eq!((conditional >> j) & 1 == 1, r.kind.is_conditional());
+                assert_eq!((taken >> j) & 1 == 1, r.taken);
+            }
+        }
     }
 
     #[test]

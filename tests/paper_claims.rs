@@ -7,6 +7,7 @@ use gskew::core::index::IndexFunction;
 use gskew::core::spec::parse_spec;
 use gskew::sim::engine;
 use gskew::trace::prelude::*;
+use gskew::trace::soa::TraceColumns;
 
 const LEN: u64 = 200_000;
 
@@ -203,17 +204,14 @@ fn gskew_win_is_statistically_significant() {
     use gskew::sim::engine::NovelPolicy;
     // nroff is a consistent gskew win (see ext-seeds); verify the win is
     // not noise: pair gskew 3x4K against the same-storage-class 8K gshare.
-    let mut gshare = parse_spec("gshare:n=13,h=6").expect("valid spec");
-    let mut gskew = parse_spec("gskew:n=12,h=6").expect("valid spec");
-    let result = duel(
-        &mut gshare,
-        &mut gskew,
-        IbsBenchmark::Nroff
-            .spec()
-            .build()
-            .take_conditionals(400_000),
-        NovelPolicy::Count,
-    );
+    let gshare = parse_spec("gshare:n=13,h=6").expect("valid spec");
+    let gskew = parse_spec("gskew:n=12,h=6").expect("valid spec");
+    let columns: TraceColumns = IbsBenchmark::Nroff
+        .spec()
+        .build()
+        .take_conditionals(400_000)
+        .collect();
+    let result = duel(gshare, gskew, &columns, NovelPolicy::Count);
     assert!(
         result.b_significantly_better(),
         "gskew should beat the 2/3-storage gshare decisively: z = {:.2}, \
