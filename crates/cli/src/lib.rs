@@ -71,8 +71,9 @@ Global options:
   --results-dir DIR  results store location (default .gskew/results)
   --no-trace-cache   regenerate workload streams on every use instead of
                      memoizing materialized traces (streaming memory profile)
-  --verbose          print trace-cache, results-store and engine-throughput
-                     summaries (hits/misses, cells skipped/simulated/saved,
+  --verbose          print trace-cache, cell, results-store and
+                     engine-throughput summaries (hits/misses, cells
+                     simulated/reused in-run, cells skipped/simulated/saved,
                      records/sec of concrete-type and dyn engine runs)
 
 Environment:
@@ -103,10 +104,22 @@ pub fn cli_main() -> ExitCode {
 
 /// Run one command line (excluding the program name).
 ///
+/// Every call starts and ends with a detached, empty results context
+/// ([`resume::deconfigure`]), so repeated calls in one process (tests,
+/// benchmarks) each resolve their cells as a fresh process would.
+///
 /// # Errors
 ///
 /// Returns the message to print on stderr before exiting nonzero.
 pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
+    resume::deconfigure();
+    let result = dispatch_args(raw);
+    // The store flushes its index on every put; nothing to close.
+    resume::deconfigure();
+    result
+}
+
+fn dispatch_args(raw: Vec<String>) -> Result<(), String> {
     let args = Args::parse(raw)?;
     if args.flag("no-trace-cache") {
         // Process-global and single-threaded here: `main` is the only
@@ -118,8 +131,7 @@ pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
         experiments::set_workload_seed(seed);
     }
     let resume_flag = args.flag("resume");
-    let save_flag = resume_flag || args.flag("save-results");
-    if save_flag {
+    if resume_flag || args.flag("save-results") {
         let store = ResultsStore::open(results_dir(&args))?;
         resume::configure(store, resume_flag, true);
     }
@@ -144,11 +156,6 @@ pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
         print_cache_summary();
         print_resume_summary();
         print_timing_summary();
-    }
-    // Detach so repeated `dispatch` calls in one process (tests) start
-    // clean; the store flushes its index on every put, nothing to close.
-    if save_flag {
-        resume::deconfigure();
     }
     result
 }
@@ -178,6 +185,11 @@ fn print_cache_summary() {
 }
 
 fn print_resume_summary() {
+    let run = resume::in_run_stats();
+    eprintln!(
+        "cells: {} simulated, {} reused in-run",
+        run.cells_simulated, run.cells_reused,
+    );
     if !resume::is_active() {
         return;
     }

@@ -59,11 +59,27 @@ fn resumed_rerun_skips_every_cell_and_is_byte_identical() {
         warm_err.contains("150 cells skipped"),
         "the skip counter reports every cell: {warm_err}"
     );
+    assert!(
+        warm_err.contains("cells: 0 simulated, 0 reused in-run"),
+        "the cells line reports the warm run: {warm_err}"
+    );
     assert_eq!(
         cold.stdout, warm.stdout,
         "resumed table is byte-identical to the cold run"
     );
     let _ = std::fs::remove_dir_all(store);
+}
+
+#[test]
+fn verbose_reports_cells_without_a_store() {
+    let out = bpsim(&["run", "fig5", "--quick", "--len", "20000", "--verbose"]);
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("cells: 150 simulated, 0 reused in-run"),
+        "{err}"
+    );
+    assert!(!err.contains("results store:"), "no store attached: {err}");
 }
 
 #[test]

@@ -28,6 +28,10 @@
 
 //! Additional families beyond the paper's: `agree:n=12,h=8`,
 //! `bimode:n=12,h=8`, `pas:bht=10,l=8,n=12`, `spas:bht=10,l=8,n=10`.
+//!
+//! A parsed [`PredictorSpec`] displays as its canonical spelling, with
+//! every key written out in a fixed order, which parses back to an equal
+//! value.
 
 use crate::agree::Agree;
 use crate::assoc::{FullyAssociative, MissPolicy, SetAssociative};
@@ -45,6 +49,7 @@ use crate::pas::{Pas, SkewedPas};
 use crate::predictor::{BranchPredictor, Outcome, Prediction};
 use crate::statics::{AlwaysNotTaken, AlwaysTaken};
 use std::collections::HashMap;
+use std::fmt;
 
 /// Parsed key=value parameters of a spec string.
 #[derive(Debug, Clone, Default)]
@@ -466,6 +471,92 @@ impl PredictorSpec {
     }
 }
 
+/// The canonical spelling: the family name, then every parameter of the
+/// family written out, in a fixed key order. [`PredictorSpec::parse`]
+/// reads it back to an equal value, so every spelling of one predictor
+/// (`gskew:n=9,h=4`, `gskew:n=9,h=4,update=partial,ctr=2`) has the same
+/// canonical string: `gskew:n=9,h=4,banks=3,ctr=2,update=partial,skew=on`.
+impl fmt::Display for PredictorSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let miss_name = |miss: MissPolicy| match miss {
+            MissPolicy::AlwaysTaken => "taken",
+            MissPolicy::AlwaysNotTaken => "nottaken",
+        };
+        match *self {
+            PredictorSpec::Bimodal { n, ctr } => write!(f, "bimodal:n={n},ctr={}", ctr.bits()),
+            PredictorSpec::Gshare { n, h, ctr } => {
+                write!(f, "gshare:n={n},h={h},ctr={}", ctr.bits())
+            }
+            PredictorSpec::Gselect { n, h, ctr } => {
+                write!(f, "gselect:n={n},h={h},ctr={}", ctr.bits())
+            }
+            PredictorSpec::Gskew {
+                n,
+                h,
+                banks,
+                ctr,
+                update,
+                enhanced,
+                skewing,
+            } => write!(
+                f,
+                "{}:n={n},h={h},banks={banks},ctr={},update={update},skew={}",
+                if enhanced { "egskew" } else { "gskew" },
+                ctr.bits(),
+                if skewing { "on" } else { "off" },
+            ),
+            PredictorSpec::Agree { n, h, bias, ctr } => {
+                write!(f, "agree:n={n},h={h},bias={bias},ctr={}", ctr.bits())
+            }
+            PredictorSpec::BiMode { n, h, choice, ctr } => {
+                write!(f, "bimode:n={n},h={h},choice={choice},ctr={}", ctr.bits())
+            }
+            PredictorSpec::Pas { bht, l, n, ctr } => {
+                write!(f, "pas:bht={bht},l={l},n={n},ctr={}", ctr.bits())
+            }
+            PredictorSpec::Spas {
+                bht,
+                l,
+                n,
+                ctr,
+                update,
+            } => write!(
+                f,
+                "spas:bht={bht},l={l},n={n},ctr={},update={update}",
+                ctr.bits()
+            ),
+            PredictorSpec::Ideal { h, ctr } => write!(f, "ideal:h={h},ctr={}", ctr.bits()),
+            PredictorSpec::Falru { cap, h, ctr, miss } => write!(
+                f,
+                "falru:cap={cap},h={h},ctr={},miss={}",
+                ctr.bits(),
+                miss_name(miss)
+            ),
+            PredictorSpec::SetAssoc {
+                n,
+                ways,
+                h,
+                ctr,
+                miss,
+            } => write!(
+                f,
+                "setassoc:n={n},ways={ways},h={h},ctr={},miss={}",
+                ctr.bits(),
+                miss_name(miss)
+            ),
+            PredictorSpec::McFarling { n, h, ctr } => {
+                write!(f, "mcfarling:n={n},h={h},ctr={}", ctr.bits())
+            }
+            PredictorSpec::Shgskew { n, h, update } => {
+                write!(f, "shgskew:n={n},h={h},update={update}")
+            }
+            PredictorSpec::TwoBcGskew { n, h } => write!(f, "2bcgskew:n={n},h={h}"),
+            PredictorSpec::AlwaysTaken => f.write_str("always-taken"),
+            PredictorSpec::AlwaysNotTaken => f.write_str("always-nottaken"),
+        }
+    }
+}
+
 /// Generic code over one concrete predictor type, run by
 /// [`Concrete::visit`]: a visitor's `visit` is compiled once per
 /// predictor type, so a loop inside it calls that type's methods
@@ -774,6 +865,28 @@ mod tests {
         assert!(spec.build().is_err());
         let spec = PredictorSpec::parse("gskew:banks=2").unwrap();
         assert!(spec.build().is_err());
+    }
+
+    #[test]
+    fn canonical_spelling_writes_every_parameter() {
+        for (spec, canonical) in [
+            (
+                "gskew:n=9,h=4",
+                "gskew:n=9,h=4,banks=3,ctr=2,update=partial,skew=on",
+            ),
+            (
+                "egskew:skew=off,update=total,n=12,h=11",
+                "egskew:n=12,h=11,banks=3,ctr=2,update=total,skew=off",
+            ),
+            ("agree:n=11,h=6", "agree:n=11,h=6,bias=11,ctr=2"),
+            ("falru:cap=512,h=4", "falru:cap=512,h=4,ctr=2,miss=taken"),
+            ("2bcgskew", "2bcgskew:n=12,h=12"),
+            ("always-taken", "always-taken"),
+        ] {
+            let parsed = PredictorSpec::parse(spec).unwrap();
+            assert_eq!(parsed.to_string(), canonical, "{spec}");
+            assert_eq!(PredictorSpec::parse(canonical).unwrap(), parsed, "{spec}");
+        }
     }
 
     #[test]

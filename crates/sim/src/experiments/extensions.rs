@@ -150,6 +150,11 @@ pub(super) fn multiprogram(opts: &ExperimentOpts) -> ExperimentOutput {
     // mix actually switches several times.
     let slice = (len / 12).clamp(500, 40_000);
 
+    // The mixed run sees the same total number of branches; every row
+    // shares one build of it.
+    let mixed: TraceColumns = MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice)
+        .take_conditionals(len)
+        .collect();
     let rows = parallel_map(specs.to_vec(), opts.threads, |spec| {
         // Solo mean across the three mixed components.
         let solo_mean = MIX
@@ -157,10 +162,6 @@ pub(super) fn multiprogram(opts: &ExperimentOpts) -> ExperimentOutput {
             .map(|&bench| sim_pct(spec, bench, len))
             .sum::<f64>()
             / MIX.len() as f64;
-        // The mixed run sees the same total number of branches.
-        let mixed: TraceColumns = MultiProgram::new(MIX.iter().map(|b| b.spec()).collect(), slice)
-            .take_conditionals(len)
-            .collect();
         let mixed_pct = simulate(spec, &mixed, Mode::Plain, NovelPolicy::Count).mispredict_pct();
         (spec, solo_mean, mixed_pct)
     });

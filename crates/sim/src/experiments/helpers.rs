@@ -58,7 +58,8 @@ pub(crate) fn parsed(spec: &str) -> PredictorSpec {
 }
 
 /// Simulate an experiment-owned spec over `columns` under `mode`
-/// ([`engine::simulate_spec`]).
+/// ([`engine::simulate_spec`]), bypassing the cell tiers of
+/// [`crate::resume`] (for traces and modes a cell key does not name).
 ///
 /// # Panics
 ///
@@ -89,30 +90,21 @@ pub fn sim_pct_with(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPoli
     sim_cell(spec, bench, len, policy).mispredict_pct()
 }
 
-/// Simulate one cell, consulting the results store first when one is
-/// attached ([`crate::resume`]): a fingerprint-identical hit returns the
-/// stored counts without touching the engine, and misses are persisted
-/// when saving is enabled. With no store attached this is exactly the
-/// plain simulate path.
+/// Resolve one cell ([`crate::resume`]): served from the in-run tier or
+/// the results store when either holds it, otherwise simulated and
+/// recorded (joining the in-run tier, and the store when saving).
 fn sim_cell(spec: &str, bench: IbsBenchmark, len: u64, policy: NovelPolicy) -> RunResult {
     let seed = workload_seed();
-    let simulate = || {
-        simulate(
-            spec,
-            &cache::columns_seeded(bench, len, seed),
-            Mode::Plain,
-            policy,
-        )
-    };
-    if !resume::is_active() {
-        return simulate();
-    }
-    let (key, fingerprint) = resume::cell(spec, bench, len, seed, policy);
+    let spec = parsed(spec);
+    let (key, fingerprint) = resume::cell(&spec, bench, len, seed, policy);
     if let Some(hit) = resume::lookup(fingerprint) {
         return hit;
     }
     let start = Instant::now();
-    let result = simulate();
+    let columns = cache::columns_seeded(bench, len, seed);
+    let result = engine::simulate_spec(&spec, &columns, Mode::Plain, policy)
+        .unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"))
+        .result;
     resume::record(
         key,
         fingerprint,
@@ -200,29 +192,15 @@ pub fn spec_sweep_table_with(
     let rows = row_labels.len();
     let seed = workload_seed();
     // One task per benchmark: the per-benchmark trace is the shared
-    // resource, so it is also the unit of parallelism. Within a
-    // benchmark, rows run through `kernel::run_specs`, split across the
-    // leftover worker budget. With a results store attached, stored rows
-    // are adopted and only the missing ones are simulated.
+    // resource, so it is also the unit of parallelism. Rows the in-run
+    // tier or the results store already hold are adopted; the rest run
+    // through `kernel::run_parsed` over one shared trace, split across
+    // the leftover worker budget.
     let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
+    let specs: Vec<PredictorSpec> = (0..rows).map(|row| parsed(&spec_for_row(row))).collect();
     let per_bench: Vec<Vec<f64>> =
         parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
             let len = opts.len_for(bench);
-            let specs: Vec<String> = (0..rows).map(&spec_for_row).collect();
-            let simulate = |specs: &[String]| -> Vec<RunResult> {
-                let trace = cache::materialize_seeded(bench, len, seed);
-                let cols = cache::columns_seeded(bench, len, seed);
-                kernel::run_specs(specs, &trace, &cols, policy, inner_threads)
-                    .unwrap_or_else(|e| panic!("bad spec in sweep: {e}"))
-            };
-
-            if !resume::is_active() {
-                return simulate(&specs)
-                    .into_iter()
-                    .map(|r| r.mispredict_pct())
-                    .collect();
-            }
-
             let keys: Vec<(CellKey, u64)> = specs
                 .iter()
                 .map(|spec| resume::cell(spec, bench, len, seed, policy))
@@ -233,10 +211,12 @@ pub fn spec_sweep_table_with(
                 .collect();
             let missing: Vec<usize> = (0..rows).filter(|&row| results[row].is_none()).collect();
             if !missing.is_empty() {
-                let missing_specs: Vec<String> =
+                let missing_specs: Vec<PredictorSpec> =
                     missing.iter().map(|&row| specs[row].clone()).collect();
                 let start = Instant::now();
-                let simulated = simulate(&missing_specs);
+                let cols = cache::columns_seeded(bench, len, seed);
+                let simulated = kernel::run_parsed(&missing_specs, &cols, policy, inner_threads)
+                    .unwrap_or_else(|e| panic!("bad spec in sweep: {e}"));
                 // The trace walk is shared; bill it evenly per cell.
                 let per_cell_ms = start.elapsed().as_secs_f64() * 1e3 / missing.len() as f64;
                 for (&row, result) in missing.iter().zip(simulated) {
@@ -262,14 +242,15 @@ pub fn spec_sweep_table_with(
 /// Classify a whole three-C grid over one benchmark trace, batched: one
 /// direct-mapped kernel pass per cell plus one shared-distance
 /// fully-associative pass per distinct history length, all over a single
-/// cached column view ([`kernel::run_three_c`]). Results are parallel to
-/// `cells` and bit-identical to running `ThreeCClassifier` per cell.
+/// cached column view ([`kernel::run_three_c_units`]). Results are
+/// parallel to `cells` and bit-identical to running `ThreeCClassifier`
+/// per cell.
 ///
-/// With a results store attached ([`crate::resume`]), stored units are
-/// adopted and only the missing ones run: direct-mapped units are keyed
-/// per cell ([`resume::alias_dm_cell`]) and fully-associative units per
-/// `(capacity, history)` — shared across index functions — so a warm
-/// rerun touches no trace at all.
+/// Units the in-run tier or the results store already hold
+/// ([`crate::resume`]) are adopted and only the missing ones run:
+/// direct-mapped units are keyed per cell ([`resume::alias_dm_cell`]) and
+/// fully-associative units per `(capacity, history)` — shared across
+/// index functions — so a warm rerun touches no trace at all.
 pub(crate) fn three_c_grid(
     bench: IbsBenchmark,
     len: u64,
@@ -278,11 +259,6 @@ pub(crate) fn three_c_grid(
 ) -> Vec<ThreeCCounts> {
     use bpred_aliasing::batch::{self, DmCounts, FaCounts};
     let seed = workload_seed();
-    if !resume::is_active() {
-        let cols = cache::columns_seeded(bench, len, seed);
-        return kernel::run_three_c(cells, &cols, threads);
-    }
-
     let groups = batch::fa_groups(cells);
     let dm_keys: Vec<(CellKey, u64)> = cells
         .iter()
@@ -309,7 +285,7 @@ pub(crate) fn three_c_grid(
         })
         .collect();
     // An FA group is servable only when *every* capacity of the group is
-    // stored (they come from one shared pass, so they are stored
+    // held (they come from one shared pass, so they are recorded
     // together; a partial hit re-runs the whole group).
     let mut fa: Vec<Option<FaCounts>> = fa_keys
         .iter()
@@ -418,9 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn spec_sweep_matches_per_cell_sim_pct() {
-        // The batched path must render exactly the table the per-cell
-        // path would: same accounting, same formatting, cell by cell.
+    fn spec_sweep_matches_per_cell_simulation() {
+        // The batched path must render exactly the table a per-cell
+        // simulation would: same accounting, same formatting, cell by
+        // cell. The reference simulates directly, so the in-run tier the
+        // batched table fills cannot serve it.
         let mut opts = ExperimentOpts::quick();
         opts.len_override = Some(8_000);
         let rows = vec!["8".to_string(), "10".to_string()];
@@ -429,11 +407,13 @@ mod tests {
             format!("gshare:n={},h=4", ns[row])
         });
         let per_cell = bench_sweep_table("t", "n", &rows, &opts, |row, bench| {
-            sim_pct(
+            simulate(
                 &format!("gshare:n={},h=4", ns[row]),
-                bench,
-                opts.len_for(bench),
+                &columns(bench, opts.len_for(bench)),
+                Mode::Plain,
+                NovelPolicy::Count,
             )
+            .mispredict_pct()
         });
         assert_eq!(batched.rows(), per_cell.rows());
     }

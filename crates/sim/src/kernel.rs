@@ -40,8 +40,22 @@ pub fn run_specs(
         .iter()
         .map(|s| PredictorSpec::parse(s))
         .collect::<Result<Vec<_>, _>>()?;
-    parallel_map(parsed, threads, |spec| {
-        engine::simulate_spec(&spec, columns, Mode::Plain, policy).map(|sim| sim.result)
+    run_parsed(&parsed, columns, policy, threads)
+}
+
+/// [`run_specs`] over already-parsed specs.
+///
+/// # Errors
+///
+/// Returns the first out-of-range [`ConfigError`] in spec order.
+pub fn run_parsed(
+    specs: &[PredictorSpec],
+    columns: &TraceColumns,
+    policy: NovelPolicy,
+    threads: usize,
+) -> Result<Vec<RunResult>, ConfigError> {
+    parallel_map(specs.iter().collect(), threads, |spec| {
+        engine::simulate_spec(spec, columns, Mode::Plain, policy).map(|sim| sim.result)
     })
     .into_iter()
     .collect()

@@ -1,27 +1,43 @@
-//! Results-store integration: persist simulated cells and resume past
-//! them.
+//! Cell resolution: every simulated cell is resolved at most once per
+//! run, and persisted across runs when a results store is attached.
 //!
-//! When a [`bpred_results::store::ResultsStore`] is configured here, the
-//! experiment helpers ([`crate::experiments::sim_pct`] and the
-//! spec-sweep tables) consult it before simulating a cell: a
-//! fingerprint-identical hit is adopted wholesale (the stored counts
-//! reproduce the cell's rendering byte for byte) and the simulation is
-//! skipped, which makes whole experiment reruns incremental across
-//! processes — the durable complement of the in-memory trace cache.
-//! Misses are simulated normally and, when saving is enabled, written
-//! back through the store's atomic path.
+//! The experiment helpers ([`crate::experiments::sim_pct`], the
+//! spec-sweep tables and the three-C grids) key every cell with [`cell`]
+//! and resolve it through [`lookup`] before simulating it, then hand a
+//! simulated result to [`record`]. A lookup tries two tiers in order:
 //!
-//! The context is process-global by design, mirroring
-//! `bpred_trace::cache`: only single-threaded entry points (the CLI)
-//! should configure it. Counters are atomic so the parallel sweep
-//! workers can report through them.
+//! 1. the **in-run tier**, an in-memory map from a cell's fingerprint
+//!    (which covers its canonical spec, benchmark, length, seed, policy,
+//!    workload parameters and [`ENGINE_VERSION`] — the same identity the
+//!    store keys by) to its counts,
+//!    filled by every resolved cell whether or not a store is attached —
+//!    so an experiment that repeats another's cell (ablation-update
+//!    repeats fig5 and fig8) reuses it instead of re-simulating;
+//! 2. a [`bpred_results::store::ResultsStore`], when one is attached with
+//!    resume enabled: a fingerprint-identical hit is adopted wholesale
+//!    (the stored counts reproduce the cell's rendering byte for byte),
+//!    which makes whole experiment reruns incremental across processes.
+//!
+//! Misses are simulated by the caller and, when saving is enabled,
+//! written back through the store's atomic path.
+//!
+//! The in-run tier lives as long as one run: [`configure`] and
+//! [`deconfigure`] empty it, so a command (or a benchmark pass) that
+//! starts from either sees exactly what a fresh process would. The
+//! context is process-global by design, mirroring `bpred_trace::cache`:
+//! only single-threaded entry points (the CLI) should configure it.
+//! Lookups and records are safe from the parallel sweep workers.
 
 use crate::engine::{NovelPolicy, RunResult};
+use bpred_core::hash::PairHasher;
+use bpred_core::spec::PredictorSpec;
 use bpred_results::record::{CellKey, ResultRecord};
 use bpred_results::store::ResultsStore;
 use bpred_trace::workload::IbsBenchmark;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Version of the simulation engine's accounting, fingerprinted into
 /// every stored cell. Bump this whenever a change alters what any
@@ -30,7 +46,8 @@ use std::sync::Mutex;
 /// re-simulates instead of silently serving stale numbers.
 pub const ENGINE_VERSION: &str = "1";
 
-struct Context {
+/// A results store attached by [`configure`].
+struct Attached {
     store: ResultsStore,
     /// Serve fingerprint hits instead of simulating.
     resume: bool,
@@ -38,7 +55,22 @@ struct Context {
     save: bool,
 }
 
-static CONTEXT: Mutex<Option<Context>> = Mutex::new(None);
+struct Context {
+    store: Option<Attached>,
+    /// The in-run tier: every cell resolved since the last
+    /// [`configure`]/[`deconfigure`], keyed by fingerprint.
+    memory: HashMap<u64, RunResult, BuildHasherDefault<PairHasher>>,
+    in_run: InRunStats,
+}
+
+static CONTEXT: Mutex<Context> = Mutex::new(Context {
+    store: None,
+    memory: HashMap::with_hasher(BuildHasherDefault::new()),
+    in_run: InRunStats {
+        cells_simulated: 0,
+        cells_reused: 0,
+    },
+});
 static CELLS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 static CELLS_SIMULATED: AtomicU64 = AtomicU64::new(0);
 static RECORDS_SAVED: AtomicU64 = AtomicU64::new(0);
@@ -46,28 +78,39 @@ static RECORDS_SAVED: AtomicU64 = AtomicU64::new(0);
 /// (informational only; not part of the fingerprint).
 static EXPERIMENT: Mutex<Option<&'static str>> = Mutex::new(None);
 
-/// Attach a store. `resume` serves fingerprint-identical hits without
-/// simulating; `save` persists simulated cells. Both may be set.
+fn context() -> MutexGuard<'static, Context> {
+    CONTEXT.lock().expect("resume context poisoned")
+}
+
+/// Replace the attached store and start a new run: the in-run tier and
+/// its counters are emptied. Returns the store that was attached.
+fn start_run(store: Option<Attached>) -> Option<ResultsStore> {
+    let mut ctx = context();
+    ctx.memory.clear();
+    ctx.in_run = InRunStats::default();
+    std::mem::replace(&mut ctx.store, store).map(|attached| attached.store)
+}
+
+/// Attach a store and start a new run (the in-run tier is emptied).
+/// `resume` serves fingerprint-identical hits without simulating; `save`
+/// persists simulated cells. Both may be set.
 pub fn configure(store: ResultsStore, resume: bool, save: bool) {
-    *CONTEXT.lock().expect("resume context poisoned") = Some(Context {
+    start_run(Some(Attached {
         store,
         resume,
         save,
-    });
+    }));
 }
 
-/// Detach and return the store, if one was configured.
+/// Detach and return the store, if one was configured, and start a new
+/// run (the in-run tier is emptied).
 pub fn deconfigure() -> Option<ResultsStore> {
-    CONTEXT
-        .lock()
-        .expect("resume context poisoned")
-        .take()
-        .map(|ctx| ctx.store)
+    start_run(None)
 }
 
 /// Whether a store is currently attached.
 pub fn is_active() -> bool {
-    CONTEXT.lock().expect("resume context poisoned").is_some()
+    context().store.is_some()
 }
 
 /// Stamp the experiment id recorded on cells saved from now on.
@@ -83,7 +126,9 @@ fn experiment_label() -> String {
         .to_string()
 }
 
-/// Counter snapshot for `--verbose` summaries.
+/// Results-store counter snapshot for `--verbose` summaries. The
+/// counters move only while a store is attached, and are cumulative
+/// over the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResumeStats {
     /// Cells served from the store without simulating.
@@ -103,6 +148,21 @@ pub fn stats() -> ResumeStats {
     }
 }
 
+/// Counters of the current run, with or without a store; emptied with
+/// the in-run tier by [`configure`] and [`deconfigure`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct InRunStats {
+    /// Cells simulated.
+    pub cells_simulated: u64,
+    /// Cells served from the in-run tier.
+    pub cells_reused: u64,
+}
+
+/// Snapshot the current run's counters.
+pub fn in_run_stats() -> InRunStats {
+    context().in_run
+}
+
 /// The policy's stable name inside cell keys.
 pub fn policy_name(policy: NovelPolicy) -> &'static str {
     match policy {
@@ -111,19 +171,20 @@ pub fn policy_name(policy: NovelPolicy) -> &'static str {
     }
 }
 
-/// Build the cell key and fingerprint for one simulation cell. The
-/// fingerprint covers the spec, the *full* workload parameter set (the
-/// benchmark's seeded `WorkloadSpec`, so recalibrating a workload
-/// invalidates its cells), the trace length, seed, accounting policy
-/// and [`ENGINE_VERSION`].
+/// Build the cell key and fingerprint for one simulation cell. The key
+/// holds the spec's canonical spelling, so every spelling of one
+/// predictor names one cell. The fingerprint covers the key, the *full*
+/// workload parameter set (the benchmark's seeded `WorkloadSpec`, so
+/// recalibrating a workload invalidates its cells) and
+/// [`ENGINE_VERSION`].
 pub fn cell(
-    spec: &str,
+    spec: &PredictorSpec,
     bench: IbsBenchmark,
     len: u64,
     seed: u64,
     policy: NovelPolicy,
 ) -> (CellKey, u64) {
-    cell_keyed(spec, bench, len, seed, policy_name(policy))
+    cell_keyed(&spec.to_string(), bench, len, seed, policy_name(policy))
 }
 
 /// [`cell`] with a free-form policy label — the shared core for cells
@@ -186,29 +247,45 @@ pub fn alias_fa_cell(
     cell_keyed(&spec, bench, len, seed, ALIAS_POLICY)
 }
 
-/// Look a cell up. `Some` only when a store is attached with resume
-/// enabled and it holds a valid record under this fingerprint.
+/// Look a cell up: in the in-run tier first, then in the attached store
+/// when resume is enabled. A store hit joins the in-run tier.
 pub fn lookup(fingerprint: u64) -> Option<RunResult> {
-    let guard = CONTEXT.lock().expect("resume context poisoned");
-    let ctx = guard.as_ref().filter(|ctx| ctx.resume)?;
-    let record = ctx.store.get(fingerprint)?;
+    let mut ctx = context();
+    if let Some(&hit) = ctx.memory.get(&fingerprint) {
+        ctx.in_run.cells_reused += 1;
+        return Some(hit);
+    }
+    let record = ctx
+        .store
+        .as_ref()
+        .filter(|attached| attached.resume)?
+        .store
+        .get(fingerprint)?;
     CELLS_SKIPPED.fetch_add(1, Ordering::Relaxed);
-    Some(RunResult {
+    let hit = RunResult {
         conditional: record.conditional,
         mispredicted: record.mispredicted,
         novel: record.novel,
-    })
+    };
+    ctx.memory.insert(fingerprint, hit);
+    Some(hit)
 }
 
-/// Account one simulated cell and persist it when saving is enabled.
-/// A write failure is reported to stderr but never fails the sweep —
-/// the simulation result is already in hand.
+/// Account one simulated cell: it joins the in-run tier and, when a
+/// store is attached with saving enabled, is persisted. A write failure
+/// is reported to stderr but never fails the sweep — the simulation
+/// result is already in hand.
 pub fn record(key: CellKey, fingerprint: u64, result: RunResult, elapsed_ms: f64) {
-    CELLS_SIMULATED.fetch_add(1, Ordering::Relaxed);
-    let mut guard = CONTEXT.lock().expect("resume context poisoned");
-    let Some(ctx) = guard.as_mut().filter(|ctx| ctx.save) else {
+    let mut ctx = context();
+    ctx.in_run.cells_simulated += 1;
+    ctx.memory.insert(fingerprint, result);
+    let Some(attached) = ctx.store.as_mut() else {
         return;
     };
+    CELLS_SIMULATED.fetch_add(1, Ordering::Relaxed);
+    if !attached.save {
+        return;
+    }
     let record = ResultRecord {
         experiment: experiment_label(),
         key,
@@ -219,7 +296,7 @@ pub fn record(key: CellKey, fingerprint: u64, result: RunResult, elapsed_ms: f64
         novel: result.novel,
         elapsed_ms,
     };
-    match ctx.store.put(&record) {
+    match attached.store.put(&record) {
         Ok(()) => {
             RECORDS_SAVED.fetch_add(1, Ordering::Relaxed);
         }
@@ -231,10 +308,37 @@ pub fn record(key: CellKey, fingerprint: u64, result: RunResult, elapsed_ms: f64
 mod tests {
     use super::*;
 
+    fn spec(text: &str) -> PredictorSpec {
+        PredictorSpec::parse(text).unwrap()
+    }
+
+    #[test]
+    fn cell_keys_hold_the_canonical_spelling() {
+        let (key, fingerprint) = cell(
+            &spec("gskew:h=4,n=9,update=partial"),
+            IbsBenchmark::Groff,
+            1000,
+            7,
+            NovelPolicy::Count,
+        );
+        assert_eq!(
+            key.spec,
+            "gskew:n=9,h=4,banks=3,ctr=2,update=partial,skew=on"
+        );
+        let (_, plain) = cell(
+            &spec("gskew:n=9,h=4"),
+            IbsBenchmark::Groff,
+            1000,
+            7,
+            NovelPolicy::Count,
+        );
+        assert_eq!(fingerprint, plain);
+    }
+
     #[test]
     fn cell_fingerprints_separate_every_coordinate() {
         let (_, base) = cell(
-            "gshare:n=10,h=4",
+            &spec("gshare:n=10,h=4"),
             IbsBenchmark::Groff,
             1000,
             7,
@@ -242,7 +346,7 @@ mod tests {
         );
         let variants = [
             cell(
-                "gshare:n=11,h=4",
+                &spec("gshare:n=11,h=4"),
                 IbsBenchmark::Groff,
                 1000,
                 7,
@@ -250,7 +354,7 @@ mod tests {
             )
             .1,
             cell(
-                "gshare:n=10,h=4",
+                &spec("gshare:n=10,h=4"),
                 IbsBenchmark::Gs,
                 1000,
                 7,
@@ -258,7 +362,7 @@ mod tests {
             )
             .1,
             cell(
-                "gshare:n=10,h=4",
+                &spec("gshare:n=10,h=4"),
                 IbsBenchmark::Groff,
                 1001,
                 7,
@@ -266,7 +370,7 @@ mod tests {
             )
             .1,
             cell(
-                "gshare:n=10,h=4",
+                &spec("gshare:n=10,h=4"),
                 IbsBenchmark::Groff,
                 1000,
                 8,
@@ -274,7 +378,7 @@ mod tests {
             )
             .1,
             cell(
-                "gshare:n=10,h=4",
+                &spec("gshare:n=10,h=4"),
                 IbsBenchmark::Groff,
                 1000,
                 7,
@@ -286,7 +390,7 @@ mod tests {
             assert_ne!(v, base);
         }
         let (_, again) = cell(
-            "gshare:n=10,h=4",
+            &spec("gshare:n=10,h=4"),
             IbsBenchmark::Groff,
             1000,
             7,
@@ -361,8 +465,7 @@ mod tests {
         );
     }
 
-    // Lookup/record behaviour against a real store lives in
-    // `tests/resume.rs`: the context is process-global, so it is
-    // exercised in a dedicated integration-test process instead of this
-    // shared unit-test binary.
+    // Lookup/record behaviour (both tiers) lives in `tests/resume.rs`:
+    // the context is process-global, so it is exercised in a dedicated
+    // integration-test process instead of this shared unit-test binary.
 }

@@ -1,15 +1,29 @@
 //! Acceptance pins for campaign artifacts and regression diffing
 //! (ISSUE 2). Lives in its own integration-test binary so the
 //! process-global resume context exercised by `tests/resume.rs` can
-//! never leak into these runs.
+//! never leak into these runs. Within this binary the two tests would
+//! share the context's in-run tier, so each takes [`SERIAL`] and starts
+//! every campaign from a reset context.
 
 use bpred_results::campaign::{diff, CampaignArtifact};
 use bpred_sim::campaign;
 use bpred_sim::experiments::ExperimentOpts;
+use bpred_sim::resume;
+use std::sync::{Mutex, MutexGuard};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn campaign_artifact_roundtrips_and_diffs_clean() {
+    let _serial = serial();
     // No store attached: the campaign itself must not require one.
+    resume::deconfigure();
     let mut opts = ExperimentOpts::quick();
     opts.len_override = Some(10_000);
     let quick = campaign::find("quick").unwrap();
@@ -47,10 +61,22 @@ fn campaign_is_deterministic_across_runs() {
     let mut opts = ExperimentOpts::quick();
     opts.len_override = Some(10_000);
     opts.threads = 2;
+    let _serial = serial();
     let quick = campaign::find("quick").unwrap();
+    resume::deconfigure();
     let first = campaign::run(quick, &opts);
+    let first_cells = resume::in_run_stats();
+    assert!(first_cells.cells_simulated > 0);
+    // A fresh context: the second run must resolve every cell itself
+    // rather than adopt the first run's results.
+    resume::deconfigure();
     opts.threads = 1;
     let second = campaign::run(quick, &opts);
+    assert_eq!(
+        resume::in_run_stats(),
+        first_cells,
+        "the second run simulates exactly the cells the first did"
+    );
     assert_eq!(
         first.to_pretty_string(),
         second.to_pretty_string(),

@@ -84,10 +84,34 @@ fn warm_store_resumes_with_zero_simulations_and_identical_bytes() {
     let fig7_cold = render(&experiments::run("fig7", &opts).unwrap());
     let mid = resume::stats();
     assert!(mid.cells_simulated > before.cells_simulated);
+    // fig7's h=4 rows are fig5 cells already in the store.
+    let fig7_cells =
+        (mid.cells_simulated - before.cells_simulated) + (mid.cells_skipped - before.cells_skipped);
+    resume::deconfigure().unwrap();
+
+    // Rerun against a fresh context, so the in-run tier is empty and
+    // every cell must come from the store.
+    resume::configure(ResultsStore::open(&root).unwrap(), true, true);
     let fig7_warm = render(&experiments::run("fig7", &opts).unwrap());
     let after = resume::stats();
-    assert_eq!(after.cells_simulated, mid.cells_simulated);
+    assert_eq!(
+        after.cells_simulated, mid.cells_simulated,
+        "warm per-cell rerun performs zero simulations"
+    );
+    assert_eq!(
+        after.cells_skipped - mid.cells_skipped,
+        fig7_cells,
+        "every fig7 cell is served from the store"
+    );
     assert_eq!(fig7_warm, fig7_cold);
+
+    // A third run in the same context is served by the in-run tier,
+    // before the store is asked.
+    let reused = resume::in_run_stats().cells_reused;
+    let fig7_again = render(&experiments::run("fig7", &opts).unwrap());
+    assert_eq!(resume::stats(), after, "the store is not asked");
+    assert_eq!(resume::in_run_stats().cells_reused - reused, fig7_cells);
+    assert_eq!(fig7_again, fig7_cold);
     resume::deconfigure().unwrap();
 
     // Without a store attached the counters stand still.
