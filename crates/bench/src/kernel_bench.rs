@@ -26,6 +26,7 @@ use bpred_sim::experiments::workload_seed;
 use bpred_sim::kernel;
 use bpred_sim::runner::parallel_map;
 use bpred_trace::cache;
+use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::TraceColumns;
 use bpred_trace::workload::IbsBenchmark;
 use std::time::Instant;
@@ -345,7 +346,10 @@ pub fn run_aliasing(cells: &[ThreeCCell], quick: bool, threads: usize) -> Aliasi
         } else {
             bench.default_len()
         };
-        let (trace, cols) = cache::records_and_columns(bench, len, seed);
+        let cols = cache::columns_seeded(bench, len, seed);
+        // The classifier walks a record slice built outside the timed
+        // region, so its time is the classification alone.
+        let trace: Vec<BranchRecord> = cols.records().collect();
         applications += trace.len() as u64 * cells.len() as u64;
 
         let trace_ref = &trace;

@@ -69,8 +69,8 @@ Global options:
                      identical fingerprint (implies --save-results)
   --save-results     persist every simulated cell to the results store
   --results-dir DIR  results store location (default .gskew/results)
-  --no-trace-cache   regenerate workload streams on every use instead of
-                     memoizing materialized traces (streaming memory profile)
+  --no-trace-cache   regenerate each workload trace on every use instead of
+                     memoizing it (lower resident memory, more CPU)
   --verbose          print trace-cache, cell, results-store and
                      engine-throughput summaries (hits/misses, cells
                      simulated/reused in-run, cells skipped/simulated/saved,
@@ -168,7 +168,7 @@ fn results_dir(args: &Args) -> String {
 
 fn print_cache_summary() {
     if !trace_cache::is_enabled() {
-        eprintln!("trace cache: disabled (--no-trace-cache); every stream regenerated");
+        eprintln!("trace cache: disabled (--no-trace-cache); every trace regenerated on use");
         return;
     }
     let stats = trace_cache::stats();
@@ -389,11 +389,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
+    // Each spec is parsed once; its built form only labels the row (and
+    // rejects out-of-range values before anything runs).
     let mut specs = Vec::new();
+    let mut labels = Vec::new();
     let mut i = 1;
-    while let Some(spec) = args.positional(i) {
-        parse_spec(spec).map_err(|e| format!("{spec}: {e}"))?;
-        specs.push(spec.to_string());
+    while let Some(raw) = args.positional(i) {
+        let spec = PredictorSpec::parse(raw).map_err(|e| format!("{raw}: {e}"))?;
+        let predictor = spec.build().map_err(|e| format!("{raw}: {e}"))?;
+        labels.push((predictor.name(), predictor.storage_bits()));
+        specs.push(spec);
         i += 1;
     }
     if specs.is_empty() {
@@ -407,17 +412,14 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         print!(" {:>10}", b.name());
     }
     println!(" {:>10}", "mean");
-    // One materialized trace per benchmark; every spec runs as its
-    // concrete predictor type over the shared column view.
+    // One cached trace per benchmark; every spec runs as its concrete
+    // predictor type over the shared columns.
     let mut per_spec_pcts = vec![Vec::new(); specs.len()];
     for &bench in &benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
-        let trace = trace_cache::materialize_seeded(bench, len, seed);
-        let cols = trace_cache::columns_seeded(bench, len, seed);
-        let results = kernel::run_specs(
+        let results = kernel::run_parsed(
             &specs,
-            &trace,
-            &cols,
+            &trace_cache::columns_seeded(bench, len, seed),
             engine::NovelPolicy::Count,
             default_threads(),
         )
@@ -426,9 +428,8 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
             pcts.push(result.mispredict_pct());
         }
     }
-    for (spec, cells) in specs.iter().zip(per_spec_pcts) {
-        let predictor = parse_spec(spec).map_err(|e| e.to_string())?;
-        print!("{:<40} {:>9}", predictor.name(), predictor.storage_bits());
+    for ((name, bits), cells) in labels.iter().zip(per_spec_pcts) {
+        print!("{:<40} {:>9}", name, bits);
         for c in &cells {
             print!(" {:>9.2}%", c);
         }
@@ -503,20 +504,18 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     }
     println!();
     const HISTORIES: std::ops::RangeInclusive<u32> = 0..=16;
-    // All 17 history lengths share one materialized trace per benchmark.
-    let specs: Vec<String> = HISTORIES
-        .map(|h| template.replace("{h}", &h.to_string()))
-        .collect();
+    // All 17 history lengths share one cached trace per benchmark.
+    let specs = HISTORIES
+        .map(|h| PredictorSpec::parse(&template.replace("{h}", &h.to_string())))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
     let mut columns = Vec::new();
     for &bench in &benches {
         let len = len_override.unwrap_or_else(|| bench.default_len());
-        let trace = trace_cache::materialize_seeded(bench, len, seed);
-        let cols = trace_cache::columns_seeded(bench, len, seed);
         columns.push(
-            kernel::run_specs(
+            kernel::run_parsed(
                 &specs,
-                &trace,
-                &cols,
+                &trace_cache::columns_seeded(bench, len, seed),
                 engine::NovelPolicy::Count,
                 default_threads(),
             )

@@ -186,3 +186,43 @@ fn seed_changes_direct_runs_deterministically() {
         "hex and decimal spellings of one seed agree"
     );
 }
+
+#[test]
+fn forged_binary_trace_header_is_an_error_not_an_abort() {
+    // "BPT1" plus a record count of 2^48 - 1 and no records.
+    let path = temp_path("forged.bpt");
+    let mut bytes = b"BPT1".to_vec();
+    bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00]);
+    std::fs::write(&path, bytes).unwrap();
+    let out = bpsim(&["trace", "info", "--file", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("read "), "{err}");
+}
+
+#[test]
+fn trace_cache_bypass_leaves_stdout_byte_identical() {
+    // table1 reads every record field (privilege included) and fig11
+    // walks records twice per benchmark; both must print the same with
+    // the trace cache and without it.
+    for args in [
+        &["experiment", "table1", "--quick"][..],
+        &["experiment", "fig11", "--quick", "--len", "20000"][..],
+    ] {
+        let cached = bpsim(args);
+        let bypassed = bpsim(&[args, &["--no-trace-cache"][..]].concat());
+        assert!(
+            cached.status.success() && bypassed.status.success(),
+            "{args:?}: {}{}",
+            String::from_utf8_lossy(&cached.stderr),
+            String::from_utf8_lossy(&bypassed.stderr)
+        );
+        assert!(!cached.stdout.is_empty(), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&cached.stdout),
+            String::from_utf8_lossy(&bypassed.stdout),
+            "{args:?}"
+        );
+    }
+}

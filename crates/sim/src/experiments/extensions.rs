@@ -24,7 +24,7 @@
 
 use super::helpers::{
     bench_sweep_table, columns, history_labels, parsed, sim_pct, simulate, size_labels,
-    spec_sweep_table, stream,
+    spec_sweep_table,
 };
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine::{Mode, NovelPolicy};
@@ -409,7 +409,7 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
                 IndexFunction::Gshare,
             );
             let mut cursor = PairCursor::new(4);
-            for r in stream(bench, opts.len_for(bench)) {
+            for r in columns(bench, opts.len_for(bench)).records() {
                 if r.kind == BranchKind::Conditional {
                     table.access(&cursor.vector(r.pc));
                 }
@@ -572,7 +572,7 @@ pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
         .collect();
     let cells = parallel_map(tasks, opts.threads, |(n, bench)| {
         AliasingNature::new(n, 8, IndexFunction::Gshare, CounterKind::TwoBit)
-            .run(stream(bench, opts.len_for(bench)))
+            .run(columns(bench, opts.len_for(bench)).records())
     });
 
     let mut columns = vec!["entries".to_string()];

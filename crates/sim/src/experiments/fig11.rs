@@ -5,7 +5,7 @@
 //! The model is expected to slightly *over*-estimate the measured rate
 //! (constructive aliasing is not modeled).
 
-use super::helpers::{sim_pct, stream};
+use super::helpers::{columns, sim_pct};
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::report::{pct, Table};
 use crate::runner::parallel_map;
@@ -23,8 +23,9 @@ fn spec(bank_log2: u32) -> String {
 /// bank size of `banks_log2`: one model walk serves all sizes.
 fn measure(bench: IbsBenchmark, banks_log2: &[u32], len: u64) -> Vec<(f64, f64)> {
     let entries: Vec<u64> = banks_log2.iter().map(|&n| 1 << n).collect();
+    let trace = columns(bench, len);
     let extrapolations =
-        Extrapolator::run_sizes(HISTORY, &entries, stream(bench, len), stream(bench, len));
+        Extrapolator::run_sizes(HISTORY, &entries, trace.records(), trace.records());
     banks_log2
         .iter()
         .zip(extrapolations)

@@ -11,7 +11,6 @@ use bpred_aliasing::three_c::ThreeCCounts;
 use bpred_core::spec::PredictorSpec;
 use bpred_results::record::CellKey;
 use bpred_trace::cache;
-use bpred_trace::record::BranchRecord;
 use bpred_trace::soa::TraceColumns;
 use bpred_trace::workload::{IbsBenchmark, DEFAULT_SEED_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,16 +33,11 @@ pub fn workload_seed() -> u64 {
     SEED_BASE.load(Ordering::Relaxed)
 }
 
-/// The benchmark record stream bounded to `len` conditional branches,
+/// The benchmark's trace bounded to `len` conditional branches,
 /// generated under the current [`workload_seed`] and served from the
-/// process-wide trace cache: repeated calls with the same arguments
-/// share one materialized `Arc<[BranchRecord]>` instead of regenerating
-/// the workload.
-pub fn stream(bench: IbsBenchmark, len: u64) -> impl Iterator<Item = BranchRecord> {
-    cache::stream_seeded(bench, len, workload_seed())
-}
-
-/// The column view of [`stream`]'s trace, from the same cache entry.
+/// process-wide trace cache: repeated calls with the same arguments share
+/// one [`TraceColumns`] allocation instead of regenerating the workload.
+/// Record consumers iterate [`TraceColumns::records`].
 pub fn columns(bench: IbsBenchmark, len: u64) -> Arc<TraceColumns> {
     cache::columns_seeded(bench, len, workload_seed())
 }

@@ -159,8 +159,8 @@ mod tests {
     fn run_specs_matches_run_many_in_order() {
         let bench = IbsBenchmark::Verilog;
         let len = 5_000;
-        let records = cache::materialize(bench, len);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns(bench, len);
+        let records: Vec<BranchRecord> = cols.records().collect();
         let specs: Vec<String> = [
             "gshare:n=9,h=4",
             "mcfarling:n=9,h=6",
@@ -180,8 +180,8 @@ mod tests {
 
     #[test]
     fn run_specs_surfaces_config_errors() {
-        let records = cache::materialize(IbsBenchmark::Verilog, 100);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns(IbsBenchmark::Verilog, 100);
+        let records: Vec<BranchRecord> = cols.records().collect();
         let bad = vec!["gshare:n=9".to_string(), "gshare:n=0".to_string()];
         assert!(run_specs(&bad, &records, &cols, NovelPolicy::Count, 2).is_err());
         let unknown = vec!["tage:n=12".to_string()];
@@ -191,8 +191,7 @@ mod tests {
     #[test]
     fn run_three_c_matches_the_classifier_under_any_thread_count() {
         use bpred_aliasing::three_c::ThreeCClassifier;
-        let records = cache::materialize(IbsBenchmark::Groff, 8_000);
-        let cols = TraceColumns::from_records(&records);
+        let cols = cache::columns(IbsBenchmark::Groff, 8_000);
         let cells: Vec<ThreeCCell> = [
             (6u32, 4u32, IndexFunction::Gshare),
             (6, 4, IndexFunction::Gselect),
@@ -212,7 +211,7 @@ mod tests {
         assert_eq!(sequential, parallel, "thread count must not matter");
         for (cell, counts) in cells.iter().zip(&sequential) {
             let reference = ThreeCClassifier::new(cell.entries_log2, cell.history_bits, cell.func)
-                .run_counts(records.iter().copied());
+                .run_counts(cols.records());
             assert_eq!(*counts, reference, "{cell:?}");
         }
     }

@@ -235,7 +235,7 @@ fn every_variant_matches_in_every_mode() {
         "always-taken",
         "always-nottaken",
     ];
-    let records = cache::materialize(IbsBenchmark::Gs, 12_000);
+    let records: Vec<_> = cache::columns(IbsBenchmark::Gs, 12_000).records().collect();
     for spec in specs {
         for policy in [NovelPolicy::Count, NovelPolicy::Exclude] {
             for mode in [

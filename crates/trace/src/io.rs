@@ -21,6 +21,11 @@ use std::io::{self, BufRead, Read, Write};
 
 const MAGIC: &[u8; 4] = b"BPT1";
 
+/// Most records [`read_binary`] reserves room for before reading them:
+/// the header count is untrusted, so larger traces grow as records
+/// actually arrive instead of allocating what a forged count claims.
+const MAX_PREALLOC_RECORDS: usize = 1 << 16;
+
 /// Write a trace in the binary `.bpt` format.
 ///
 /// The record count is written up front, so the records are buffered into
@@ -50,8 +55,10 @@ pub fn write_binary<W: Write>(
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad magic, a bad kind code,
-/// or a truncated stream.
+/// Returns [`io::ErrorKind::InvalidData`] on a bad magic or a bad kind
+/// code, and [`io::ErrorKind::UnexpectedEof`] when the stream ends before
+/// the header's record count. Memory use is bounded by the records
+/// present, whatever the header claims.
 pub fn read_binary<R: Read>(mut reader: R) -> io::Result<Vec<BranchRecord>> {
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
@@ -61,7 +68,9 @@ pub fn read_binary<R: Read>(mut reader: R) -> io::Result<Vec<BranchRecord>> {
     let mut count_bytes = [0u8; 8];
     reader.read_exact(&mut count_bytes)?;
     let count = u64::from_le_bytes(count_bytes);
-    let mut records = Vec::with_capacity(usize::try_from(count).map_err(|_| invalid("count"))?);
+    let mut records = Vec::with_capacity(
+        usize::try_from(count).map_or(MAX_PREALLOC_RECORDS, |n| n.min(MAX_PREALLOC_RECORDS)),
+    );
     let mut buf = [0u8; 9];
     for _ in 0..count {
         reader.read_exact(&mut buf)?;
@@ -324,6 +333,23 @@ mod tests {
         write_binary(&mut buf, sample().into_iter()).unwrap();
         buf.truncate(buf.len() - 1);
         assert!(read_binary(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_a_forged_count_without_allocating_it() {
+        // A header claiming 2^48 - 1 records and no record bytes: the
+        // reader must fail on the missing data, not try to reserve
+        // 4 PiB up front.
+        let mut forged = MAGIC.to_vec();
+        forged.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00]);
+        let err = read_binary(forged.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // A count past the records present fails the same way.
+        let mut buf = Vec::new();
+        write_binary(&mut buf, sample().into_iter()).unwrap();
+        buf[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = read_binary(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

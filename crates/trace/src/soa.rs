@@ -1,22 +1,29 @@
-//! Structure-of-arrays view of a materialized trace.
+//! Structure-of-arrays form of a trace — the only in-memory form the
+//! trace cache keeps.
 //!
 //! The simulation engine (`bpred-sim`'s `engine::simulate`) walks a
 //! trace as parallel columns instead of an array of [`BranchRecord`]
-//! structs: the 24-byte padded record becomes one `u64` pc, two packed
-//! bitset bits (taken, conditional) and one `u8` kind code per record —
-//! about 9.3 bytes each, and the hot predict/update loop only ever
-//! touches the pc column and two bit words per 64 records. Columns are
-//! built once per cached trace and memoized alongside the records (see
-//! [`crate::cache::columns`]), or collected straight from a record
-//! stream.
+//! structs: the 16-byte record becomes one `u64` pc, two packed bitset
+//! bits (taken, conditional) and one `u8` kind-and-privilege code per
+//! record — about 9.25 bytes each, and the hot predict/update loop only
+//! ever touches the pc column and two bit words per 64 records. The
+//! columns are lossless: [`TraceColumns::records`] yields the exact
+//! records they were built from, for consumers that walk whole records
+//! (trace statistics, the aliasing instruments).
 
-use crate::record::{BranchKind, BranchRecord};
+use crate::record::{BranchKind, BranchRecord, Privilege};
+
+/// Bit of a kind-column byte set for kernel-mode records; the low bits
+/// hold the [`BranchKind`] code (the binary trace formats pack a
+/// record's flags the same way).
+const KERNEL: u8 = 0x80;
 
 /// A trace decomposed into per-field columns.
 ///
-/// The column view is a pure function of the record slice it was built
-/// from: [`TraceColumns::from_records`] never reorders or filters, so
-/// index `i` of every column describes `records[i]`.
+/// The column view is a pure function of the records it was built from:
+/// neither [`TraceColumns::from_records`] nor collecting a stream
+/// reorders or filters, so index `i` of every column describes record
+/// `i`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceColumns {
     pc: Vec<u64>,
@@ -24,20 +31,24 @@ pub struct TraceColumns {
     taken: Vec<u64>,
     /// Bit `i` set when record `i` is a conditional branch.
     conditional: Vec<u64>,
-    /// [`BranchKind`] codes (the binary trace-format encoding).
+    /// [`BranchKind`] codes, with [`KERNEL`] set for kernel records.
     kind: Vec<u8>,
     len: usize,
     conditional_count: u64,
 }
 
 /// Columns straight from a record stream, without materializing the
-/// records first (the record stream of a one-off workload is walked
-/// once into its ~9.3-byte-per-record column form).
+/// records first. The columns are trimmed to length afterwards, so
+/// [`TraceColumns::heap_bytes`] carries no growth slack.
 impl FromIterator<BranchRecord> for TraceColumns {
     fn from_iter<I: IntoIterator<Item = BranchRecord>>(records: I) -> Self {
         let records = records.into_iter();
         let mut columns = TraceColumns::with_capacity(records.size_hint().0);
         columns.extend(records);
+        columns.pc.shrink_to_fit();
+        columns.taken.shrink_to_fit();
+        columns.conditional.shrink_to_fit();
+        columns.kind.shrink_to_fit();
         columns
     }
 }
@@ -51,7 +62,12 @@ impl Extend<BranchRecord> for TraceColumns {
                 self.conditional.push(0);
             }
             self.pc.push(r.pc);
-            self.kind.push(r.kind.code());
+            let kernel = if r.privilege == Privilege::Kernel {
+                KERNEL
+            } else {
+                0
+            };
+            self.kind.push(r.kind.code() | kernel);
             if r.taken {
                 self.taken[i >> 6] |= 1 << (i & 63);
             }
@@ -67,6 +83,11 @@ impl Extend<BranchRecord> for TraceColumns {
 #[inline]
 fn bit(words: &[u64], i: usize) -> bool {
     (words[i >> 6] >> (i & 63)) & 1 == 1
+}
+
+#[inline]
+fn decode_kind(code: u8) -> BranchKind {
+    BranchKind::from_code(code & !KERNEL).expect("column codes come from BranchKind::code")
 }
 
 impl TraceColumns {
@@ -134,7 +155,29 @@ impl TraceColumns {
     /// The kind of record `i`.
     #[inline]
     pub fn kind(&self, i: usize) -> BranchKind {
-        BranchKind::from_code(self.kind[i]).expect("column codes come from BranchKind::code")
+        decode_kind(self.kind[i])
+    }
+
+    /// Record `i`, reassembled from the columns.
+    #[inline]
+    pub fn record(&self, i: usize) -> BranchRecord {
+        let code = self.kind[i];
+        BranchRecord {
+            pc: self.pc[i],
+            kind: decode_kind(code),
+            taken: bit(&self.taken, i),
+            privilege: if code & KERNEL != 0 {
+                Privilege::Kernel
+            } else {
+                Privilege::User
+            },
+        }
+    }
+
+    /// Every record in order, reassembled on demand — the record stream
+    /// the columns were built from.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = BranchRecord> + '_ {
+        (0..self.len).map(move |i| self.record(i))
     }
 
     /// The records in blocks of 64: each block's pcs with its
@@ -163,18 +206,6 @@ impl TraceColumns {
             + self.conditional.capacity() * std::mem::size_of::<u64>()
             + self.kind.capacity()
     }
-
-    /// Reassemble record `i` (tests and spot checks; the privilege column
-    /// is not kept, so the result is normalized to user mode).
-    #[cfg(test)]
-    fn record(&self, i: usize) -> BranchRecord {
-        BranchRecord {
-            pc: self.pc(i),
-            kind: self.kind(i),
-            taken: self.taken(i),
-            privilege: crate::record::Privilege::User,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -200,6 +231,7 @@ mod tests {
             assert_eq!(cols.is_conditional(i), r.kind.is_conditional());
             assert_eq!(cols.cond_taken(i), (r.kind.is_conditional(), r.taken));
             assert_eq!(cols.kind(i), r.kind);
+            assert_eq!(cols.record(i), *r);
         }
         assert_eq!(cols.pcs().len(), records.len());
     }
@@ -219,6 +251,13 @@ mod tests {
         let sliced = TraceColumns::from_records(&records);
         assert_eq!(streamed, sliced);
         assert_eq!(
+            streamed.heap_bytes(),
+            sliced.heap_bytes(),
+            "a collected stream is trimmed to length"
+        );
+        assert!(records.iter().any(|r| r.privilege == Privilege::Kernel));
+        assert!(streamed.records().eq(records.iter().copied()));
+        assert_eq!(
             sliced.heap_bytes(),
             8 * records.len() + 16 * records.len().div_ceil(64) + records.len()
         );
@@ -234,16 +273,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_modulo_privilege() {
-        let records = vec![
-            BranchRecord::conditional(0x1000, true),
-            BranchRecord::unconditional(0x2000),
-            BranchRecord::conditional(0x3000, false),
-        ];
-        let cols = TraceColumns::from_records(&records);
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(cols.record(i), *r);
+    proptest::proptest! {
+        #[test]
+        fn records_roundtrip_through_the_columns(raw in proptest::collection::vec(
+            (
+                proptest::any::<u64>(),
+                0u8..4,
+                proptest::any::<bool>(),
+                proptest::any::<bool>(),
+            ),
+            0..300
+        )) {
+            let records: Vec<BranchRecord> = raw
+                .iter()
+                .map(|&(pc, kind, taken, kernel)| BranchRecord {
+                    pc,
+                    kind: BranchKind::from_code(kind).unwrap(),
+                    taken,
+                    privilege: if kernel { Privilege::Kernel } else { Privilege::User },
+                })
+                .collect();
+            let cols = TraceColumns::from_records(&records);
+            let yielded: Vec<BranchRecord> = cols.records().collect();
+            proptest::prop_assert_eq!(&yielded, &records);
+            proptest::prop_assert_eq!(cols.records().len(), records.len());
+            for (i, r) in records.iter().enumerate() {
+                proptest::prop_assert_eq!(cols.record(i), *r);
+            }
+            let collected: TraceColumns = records.iter().copied().collect();
+            proptest::prop_assert_eq!(&collected, &cols);
+            proptest::prop_assert_eq!(collected.heap_bytes(), cols.heap_bytes());
         }
     }
 
