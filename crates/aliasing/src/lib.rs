@@ -35,7 +35,7 @@
 //!   (Table 2).
 //! * [`nature`] — destructive / harmless / constructive classification of
 //!   individual aliasing events (the Young–Gloy–Smith taxonomy of
-//!   section 1).
+//!   section 1), for a whole table-size sweep in one walk.
 //! * [`set_assoc`] — the identity-tagged set-associative bridge between
 //!   the direct-mapped and fully-associative curves (quantifying the
 //!   "costly alternative" of section 3.3).
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::cursor::PairCursor;
     pub use crate::distance::{CapacitySweep, DistanceHistogram, LastUseDistance};
     pub use crate::fully_assoc::TaggedFullyAssociative;
-    pub use crate::nature::{AliasingNature, NatureCounts};
+    pub use crate::nature::NatureCounts;
     pub use crate::offenders::{OffenderAnalysis, OffenderPair};
     pub use crate::set_assoc::TaggedSetAssociative;
     pub use crate::substream::SubstreamStats;

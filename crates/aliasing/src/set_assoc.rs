@@ -13,6 +13,7 @@
 //! [`TaggedDirectMapped`]: crate::tagged::TaggedDirectMapped
 //! [`TaggedFullyAssociative`]: crate::fully_assoc::TaggedFullyAssociative
 
+use bpred_core::hash::PairMap;
 use bpred_core::index::IndexFunction;
 use bpred_core::vector::InfoVector;
 
@@ -33,7 +34,8 @@ pub struct TaggedSetAssociative {
     accesses: u64,
     misses: u64,
     cold_misses: u64,
-    seen: std::collections::HashSet<(u64, u64)>,
+    /// Pairs referenced so far (lookup-only, so the fast hasher is safe).
+    seen: PairMap<()>,
 }
 
 impl TaggedSetAssociative {
@@ -57,7 +59,7 @@ impl TaggedSetAssociative {
             accesses: 0,
             misses: 0,
             cold_misses: 0,
-            seen: std::collections::HashSet::new(),
+            seen: PairMap::default(),
         }
     }
 
@@ -79,7 +81,7 @@ impl TaggedSetAssociative {
             return false;
         }
         self.misses += 1;
-        if self.seen.insert(pair) {
+        if self.seen.insert(pair, ()).is_none() {
             self.cold_misses += 1;
         }
         if set.len() < ways {

@@ -12,8 +12,7 @@ pub struct Args {
     flags: Vec<String>,
 }
 
-/// Option names that take a value; everything else starting with `--` is
-/// a boolean flag.
+/// Option names that take a value.
 const VALUED: &[&str] = &[
     "len",
     "threads",
@@ -32,15 +31,27 @@ const VALUED: &[&str] = &[
     "min-aliasing-speedup",
 ];
 
+/// Boolean flags. Any `--name` in neither list is rejected.
+const FLAGS: &[&str] = &[
+    "quick",
+    "csv",
+    "verbose",
+    "resume",
+    "save-results",
+    "no-trace-cache",
+];
+
 impl Args {
     /// Parse raw arguments (excluding the program name).
     ///
     /// # Errors
     ///
-    /// Returns a message when a valued option is missing its value.
+    /// Returns a message when a valued option is missing its value, or
+    /// for an option the CLI does not know (with a spelling hint when a
+    /// known one is within two edits).
     pub fn parse(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut args = Args::default();
-        let mut iter = raw.into_iter().peekable();
+        let mut iter = raw.into_iter();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 if VALUED.contains(&name) {
@@ -48,8 +59,10 @@ impl Args {
                         .next()
                         .ok_or_else(|| format!("option --{name} requires a value"))?;
                     args.options.insert(name.to_string(), value);
-                } else {
+                } else if FLAGS.contains(&name) {
                     args.flags.push(name.to_string());
+                } else {
+                    return Err(unknown_option(name));
                 }
             } else {
                 args.positional.push(arg);
@@ -110,6 +123,38 @@ impl Args {
     }
 }
 
+/// The error for an unknown `--name`, naming the closest known option
+/// when it is within two edits.
+fn unknown_option(name: &str) -> String {
+    let closest = VALUED
+        .iter()
+        .chain(FLAGS)
+        .map(|known| (edit_distance(name, known), known))
+        .filter(|&(distance, _)| distance <= 2)
+        .min_by_key(|&(distance, _)| distance);
+    match closest {
+        Some((_, known)) => format!("unknown option --{name} (did you mean --{known}?)"),
+        None => format!("unknown option --{name}; try `bpsim help`"),
+    }
+}
+
+/// Levenshtein distance between two strings, by characters.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    // `row[j]`: distance between the prefix of `a` read so far and `b[..j]`.
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let substitute = diagonal + usize::from(ca != cb);
+            diagonal = row[j + 1];
+            row[j + 1] = substitute.min(row[j] + 1).min(diagonal + 1);
+        }
+    }
+    row[b.len()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,5 +205,34 @@ mod tests {
         let a = parse("campaign diff a b --tol 0.25");
         assert_eq!(a.option_f64("tol").unwrap(), Some(0.25));
         assert!(parse("x --tol wide").option_f64("tol").is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_with_a_hint() {
+        let e = Args::parse(["experiment", "ext-delay", "--quik"].map(String::from)).unwrap_err();
+        assert_eq!(e, "unknown option --quik (did you mean --quick?)");
+        let e = Args::parse(["run", "--lne", "5"].map(String::from)).unwrap_err();
+        assert_eq!(e, "unknown option --lne (did you mean --len?)");
+        let e = Args::parse(["run", "--bogus-flag", "7"].map(String::from)).unwrap_err();
+        assert_eq!(e, "unknown option --bogus-flag; try `bpsim help`");
+    }
+
+    #[test]
+    fn every_known_option_parses() {
+        for name in FLAGS {
+            assert!(parse(&format!("x --{name}")).flag(name), "--{name}");
+        }
+        for name in VALUED {
+            assert_eq!(parse(&format!("x --{name} 1")).option(name), Some("1"));
+        }
+    }
+
+    #[test]
+    fn edit_distances() {
+        assert_eq!(edit_distance("quick", "quick"), 0);
+        assert_eq!(edit_distance("quik", "quick"), 1);
+        assert_eq!(edit_distance("verbsoe", "verbose"), 2);
+        assert_eq!(edit_distance("", "csv"), 3);
+        assert_eq!(edit_distance("seed", ""), 4);
     }
 }

@@ -1,4 +1,4 @@
-//! End-to-end acceptance pins for ISSUE 2, driven through the real
+//! End-to-end acceptance pins, driven through the real
 //! `bpsim` binary so exit codes, stdout bytes and the `--verbose`
 //! counters are all exercised exactly as CI and users see them.
 
@@ -224,5 +224,25 @@ fn trace_cache_bypass_leaves_stdout_byte_identical() {
             String::from_utf8_lossy(&bypassed.stdout),
             "{args:?}"
         );
+    }
+}
+
+#[test]
+fn unknown_options_exit_1_with_a_hint() {
+    for (args, want) in [
+        (
+            &["experiment", "ext-delay", "--quik"][..],
+            "bpsim: unknown option --quik (did you mean --quick?)",
+        ),
+        (
+            &["run", "--pred", "gshare:n=10,h=4", "--bogus-flag", "7"][..],
+            "bpsim: unknown option --bogus-flag; try `bpsim help`",
+        ),
+    ] {
+        let out = bpsim(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(err.trim_end(), want, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }

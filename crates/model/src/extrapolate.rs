@@ -97,9 +97,17 @@ impl Extrapolator {
         let mut distances = LastUseDistance::new();
         let mut ideal = Ideal::new(history_bits, CounterKind::OneBit)
             .expect("history length validated by caller");
-        let mut overhead_sums = vec![0.0f64; bank_entries.len()];
+        let sizes = bank_entries.len();
+        let mut overhead_sums = vec![0.0f64; sizes];
         // First encounters: the paper applies formula (3) with p = 1.
         let first_use = p_sk(1.0, b);
+        // Formula (3) per (distance, size), filled on first use of a
+        // distance: `terms[d * sizes + i]` is the term for distance `d` at
+        // `bank_entries[i]`, NaN until computed. Distances repeat heavily
+        // and stay below the number of distinct pairs, so the table is
+        // small and every term is the same expression, added in the same
+        // order, as computing it per reference.
+        let mut terms: Vec<f64> = Vec::new();
         let mut unaliased_misses = 0u64;
         let mut references = 0u64;
 
@@ -108,8 +116,18 @@ impl Extrapolator {
                 references += 1;
                 match distances.observe(cursor.pair(record.pc)) {
                     Some(d) => {
-                        for (sum, &n) in overhead_sums.iter_mut().zip(bank_entries) {
-                            *sum += p_sk(aliasing_probability(d, n), b);
+                        let row = d as usize * sizes;
+                        if terms.len() < row + sizes {
+                            terms.resize(row + sizes, f64::NAN);
+                        }
+                        let row = &mut terms[row..row + sizes];
+                        if row.first().is_some_and(|t| t.is_nan()) {
+                            for (term, &n) in row.iter_mut().zip(bank_entries) {
+                                *term = p_sk(aliasing_probability(d, n), b);
+                            }
+                        }
+                        for (sum, term) in overhead_sums.iter_mut().zip(row) {
+                            *sum += *term;
                         }
                     }
                     None => overhead_sums.iter_mut().for_each(|sum| *sum += first_use),
@@ -185,35 +203,86 @@ mod tests {
         assert!((large.unaliased_rate - small.unaliased_rate).abs() < 1e-12);
     }
 
+    fn bits(e: &Extrapolation) -> [u64; 5] {
+        [
+            e.bias.to_bits(),
+            e.unaliased_rate.to_bits(),
+            e.aliasing_overhead.to_bits(),
+            e.extrapolated_rate.to_bits(),
+            e.references,
+        ]
+    }
+
+    /// The pipeline for one bank size with formula (3) evaluated afresh
+    /// for every reference: the oracle for the memoized terms.
+    fn reference(bank_entries: u64, history_bits: u32, len: u64) -> Extrapolation {
+        let spec = IbsBenchmark::Groff.spec();
+        let b = BiasStats::new(history_bits)
+            .run(spec.build().take_conditionals(len))
+            .static_bias_taken();
+        let mut cursor = PairCursor::new(history_bits);
+        let mut distances = LastUseDistance::new();
+        let mut ideal = Ideal::new(history_bits, CounterKind::OneBit).unwrap();
+        let (mut sum, mut unaliased_misses, mut references) = (0.0f64, 0u64, 0u64);
+        for record in spec.build().take_conditionals(len) {
+            if record.kind == BranchKind::Conditional {
+                references += 1;
+                sum += match distances.observe(cursor.pair(record.pc)) {
+                    Some(d) => p_sk(aliasing_probability(d, bank_entries), b),
+                    None => p_sk(1.0, b),
+                };
+                let outcome = Outcome::from(record.taken);
+                let prediction = ideal.step(record.pc, outcome);
+                unaliased_misses += u64::from(!prediction.novel && prediction.outcome != outcome);
+            } else {
+                ideal.record_unconditional(record.pc);
+            }
+            cursor.advance(&record);
+        }
+        let refs_f = references.max(1) as f64;
+        let unaliased_rate = unaliased_misses as f64 / refs_f;
+        let aliasing_overhead = sum / refs_f;
+        Extrapolation {
+            bias: b,
+            unaliased_rate,
+            aliasing_overhead,
+            extrapolated_rate: unaliased_rate + aliasing_overhead,
+            references,
+        }
+    }
+
     #[test]
     fn run_sizes_is_bit_identical_to_run_per_size() {
         let spec = IbsBenchmark::Groff.spec();
-        let sizes = [64u64, 1024, 8192];
-        let batched = Extrapolator::run_sizes(
-            4,
-            &sizes,
-            spec.build().take_conditionals(20_000),
-            spec.build().take_conditionals(20_000),
-        );
-        for (&bank_entries, got) in sizes.iter().zip(&batched) {
-            let want = Extrapolator {
-                bank_entries,
-                history_bits: 4,
-            }
-            .run(
+        for (history_bits, sizes) in [
+            (4, vec![64u64, 1024, 8192]),
+            // Nine sizes, including the 1-entry bank (formula (1)'s
+            // `N = 1` branch).
+            (12, vec![1u64, 2, 16, 64, 256, 1024, 4096, 8192, 16384]),
+        ] {
+            let batched = Extrapolator::run_sizes(
+                history_bits,
+                &sizes,
                 spec.build().take_conditionals(20_000),
                 spec.build().take_conditionals(20_000),
             );
-            let bits = |e: &Extrapolation| {
-                [
-                    e.bias.to_bits(),
-                    e.unaliased_rate.to_bits(),
-                    e.aliasing_overhead.to_bits(),
-                    e.extrapolated_rate.to_bits(),
-                    e.references,
-                ]
-            };
-            assert_eq!(bits(got), bits(&want), "bank size {bank_entries}");
+            for (&bank_entries, got) in sizes.iter().zip(&batched) {
+                let want = reference(bank_entries, history_bits, 20_000);
+                let single = Extrapolator {
+                    bank_entries,
+                    history_bits,
+                }
+                .run(
+                    spec.build().take_conditionals(20_000),
+                    spec.build().take_conditionals(20_000),
+                );
+                assert_eq!(bits(&single), bits(&want), "run, bank size {bank_entries}");
+                assert_eq!(
+                    bits(got),
+                    bits(&want),
+                    "bank size {bank_entries}, h={history_bits}"
+                );
+            }
         }
     }
 

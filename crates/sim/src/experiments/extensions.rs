@@ -30,7 +30,8 @@ use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine::{Mode, NovelPolicy};
 use crate::report::{pct, Table};
 use crate::runner::parallel_map;
-use bpred_aliasing::nature::AliasingNature;
+use bpred_aliasing::batch::fa_pass;
+use bpred_aliasing::nature;
 use bpred_core::counter::CounterKind;
 use bpred_core::index::IndexFunction;
 use bpred_core::spec::parse_spec;
@@ -374,18 +375,18 @@ pub(super) fn seeds(opts: &ExperimentOpts) -> ExperimentOutput {
     }
 }
 
-pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
-    use bpred_aliasing::cursor::PairCursor;
-    use bpred_aliasing::set_assoc::TaggedSetAssociative;
-    use bpred_trace::record::BranchKind;
+/// ext-assoc's total capacity (4K pairs) and history length.
+const ASSOC_CAPACITY_LOG2: u32 = 12;
+const ASSOC_HISTORY: u32 = 4;
 
-    // Fixed total capacity (4K pairs), sweep associativity.
-    const CAPACITY_LOG2: u32 = 12;
-    const WAYS: [u32; 6] = [0, 1, 2, 3, 4, CAPACITY_LOG2]; // log2(ways); last = fully assoc
+pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
+    // Fixed total capacity, sweep associativity; the last row is fully
+    // associative.
+    const WAYS: [u32; 6] = [0, 1, 2, 3, 4, ASSOC_CAPACITY_LOG2];
     let labels: Vec<String> = WAYS
         .iter()
         .map(|&w| {
-            if w == CAPACITY_LOG2 {
+            if w == ASSOC_CAPACITY_LOG2 {
                 "full".to_string()
             } else {
                 (1u32 << w).to_string()
@@ -395,27 +396,24 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
     let table = bench_sweep_table(
         format!(
             "Miss % of a {}-pair identity-tagged table vs associativity (gshare set \
-             index, 4-bit history)",
-            1u32 << CAPACITY_LOG2
+             index, {ASSOC_HISTORY}-bit history)",
+            1u32 << ASSOC_CAPACITY_LOG2
         ),
         "ways",
         &labels,
         opts,
         |row, bench| {
-            let ways_log2 = WAYS[row];
-            let mut table = TaggedSetAssociative::new(
-                CAPACITY_LOG2 - ways_log2,
-                1 << ways_log2,
-                IndexFunction::Gshare,
-            );
-            let mut cursor = PairCursor::new(4);
-            for r in columns(bench, opts.len_for(bench)).records() {
-                if r.kind == BranchKind::Conditional {
-                    table.access(&cursor.vector(r.pc));
-                }
-                cursor.advance(&r);
+            let cols = columns(bench, opts.len_for(bench));
+            let (misses, references) = if WAYS[row] == ASSOC_CAPACITY_LOG2 {
+                assoc_full(&cols)
+            } else {
+                assoc_ways(&cols, WAYS[row])
+            };
+            if references == 0 {
+                0.0
+            } else {
+                100.0 * (misses as f64 / references as f64)
             }
-            100.0 * table.miss_ratio()
         },
     );
     ExperimentOutput {
@@ -425,6 +423,36 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
             .into(),
         tables: vec![table],
     }
+}
+
+/// Misses and references of ext-assoc's `2^ways_log2`-way table.
+fn assoc_ways(cols: &TraceColumns, ways_log2: u32) -> (u64, u64) {
+    use bpred_aliasing::cursor::PairCursor;
+    use bpred_aliasing::set_assoc::TaggedSetAssociative;
+    use bpred_trace::record::BranchKind;
+
+    let mut table = TaggedSetAssociative::new(
+        ASSOC_CAPACITY_LOG2 - ways_log2,
+        1 << ways_log2,
+        IndexFunction::Gshare,
+    );
+    let mut cursor = PairCursor::new(ASSOC_HISTORY);
+    for r in cols.records() {
+        if r.kind == BranchKind::Conditional {
+            table.access(&cursor.vector(r.pc));
+        }
+        cursor.advance(&r);
+    }
+    (table.misses(), table.accesses())
+}
+
+/// Misses and references of ext-assoc's fully-associative row. A single
+/// set of `2^12` ways is a `2^12`-entry fully-associative LRU table, so
+/// the shared last-use-distance pass counts its misses without scanning
+/// the set on every reference.
+fn assoc_full(cols: &TraceColumns) -> (u64, u64) {
+    let fa = fa_pass(cols, ASSOC_HISTORY, &[1 << ASSOC_CAPACITY_LOG2]);
+    (fa.misses[0], fa.references)
 }
 
 pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
@@ -444,13 +472,19 @@ pub(super) fn delay(opts: &ExperimentOpts) -> ExperimentOutput {
                 &labels,
                 opts,
                 |row, bench| {
-                    simulate(
-                        spec,
-                        &columns(bench, opts.len_for(bench)),
-                        Mode::Delayed(DELAYS[row]),
-                        NovelPolicy::Count,
-                    )
-                    .mispredict_pct()
+                    let len = opts.len_for(bench);
+                    match DELAYS[row] {
+                        // No delay is a plain run: resolve it as a cell, so
+                        // the in-run tier can serve it.
+                        0 => sim_pct(spec, bench, len),
+                        delay => simulate(
+                            spec,
+                            &columns(bench, len),
+                            Mode::Delayed(delay),
+                            NovelPolicy::Count,
+                        )
+                        .mispredict_pct(),
+                    }
                 },
             )
         })
@@ -566,13 +600,16 @@ pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
 pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
     const SIZES: std::ops::RangeInclusive<u32> = 8..=16;
     let ns: Vec<u32> = SIZES.collect();
-    let tasks: Vec<(u32, IbsBenchmark)> = ns
-        .iter()
-        .flat_map(|&n| IbsBenchmark::all().into_iter().map(move |b| (n, b)))
-        .collect();
-    let cells = parallel_map(tasks, opts.threads, |(n, bench)| {
-        AliasingNature::new(n, 8, IndexFunction::Gshare, CounterKind::TwoBit)
-            .run(columns(bench, opts.len_for(bench)).records())
+    // One walk per benchmark classifies every size (`per_bench[b][i]` is
+    // size `ns[i]`).
+    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
+        nature::run_sizes(
+            &columns(bench, opts.len_for(bench)),
+            8,
+            IndexFunction::Gshare,
+            CounterKind::TwoBit,
+            &ns,
+        )
     });
 
     let mut columns = vec!["entries".to_string()];
@@ -585,23 +622,22 @@ pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
     .into_iter()
     .map(|t| Table::new(t, columns.clone()))
     .collect();
-    let per_row = IbsBenchmark::all().len();
     for (i, &n) in ns.iter().enumerate() {
-        let row = &cells[i * per_row..(i + 1) * per_row];
+        let row = || per_bench.iter().map(|sizes| &sizes[i]);
         let label = (1u64 << n).to_string();
         tables[0].push_row(
             std::iter::once(label.clone())
-                .chain(row.iter().map(|c| pct(100.0 * c.destructive_ratio())))
+                .chain(row().map(|c| pct(100.0 * c.destructive_ratio())))
                 .collect(),
         );
         tables[1].push_row(
             std::iter::once(label.clone())
-                .chain(row.iter().map(|c| pct(100.0 * c.constructive_ratio())))
+                .chain(row().map(|c| pct(100.0 * c.constructive_ratio())))
                 .collect(),
         );
         tables[2].push_row(
             std::iter::once(label)
-                .chain(row.iter().map(|c| pct(100.0 * c.net_overhead())))
+                .chain(row().map(|c| pct(100.0 * c.net_overhead())))
                 .collect(),
         );
     }
@@ -773,6 +809,46 @@ mod tests {
             let dm: f64 = table.rows()[0][col].parse().unwrap();
             let fa: f64 = table.rows()[5][col].parse().unwrap();
             assert!(fa <= dm + 0.2, "col {col}: fa {fa} vs dm {dm}");
+        }
+    }
+
+    #[test]
+    fn assoc_full_row_equals_a_single_set_table() {
+        use bpred_aliasing::cursor::PairCursor;
+        use bpred_aliasing::set_assoc::TaggedSetAssociative;
+        use bpred_trace::record::BranchKind;
+
+        for bench in IbsBenchmark::all() {
+            let cols = columns(bench, 8_000);
+            let mut table =
+                TaggedSetAssociative::new(0, 1 << ASSOC_CAPACITY_LOG2, IndexFunction::Gshare);
+            let mut cursor = PairCursor::new(ASSOC_HISTORY);
+            for r in cols.records() {
+                if r.kind == BranchKind::Conditional {
+                    table.access(&cursor.vector(r.pc));
+                }
+                cursor.advance(&r);
+            }
+            assert_eq!(
+                assoc_full(&cols),
+                (table.misses(), table.accesses()),
+                "{bench}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_delay_equals_plain_for_every_delay_spec() {
+        // ext-delay resolves its delay-0 row as a plain cell.
+        for spec in ["bimodal:n=14", "gshare:n=14,h=8", "gskew:n=12,h=8"] {
+            for bench in IbsBenchmark::all() {
+                let cols = columns(bench, 20_000);
+                assert_eq!(
+                    simulate(spec, &cols, Mode::Delayed(0), NovelPolicy::Count),
+                    simulate(spec, &cols, Mode::Plain, NovelPolicy::Count),
+                    "{spec} on {bench}"
+                );
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! to the per-configuration `ThreeCClassifier` walking the same records —
 //! including the signed-conflict edge where LRU loses to direct mapping.
 
-use gskew::aliasing::batch::ThreeCCell;
+use gskew::aliasing::batch::{self, ThreeCCell};
 use gskew::aliasing::three_c::ThreeCClassifier;
 use gskew::core::index::IndexFunction;
 use gskew::sim::kernel;
@@ -94,6 +94,29 @@ proptest! {
         prop_assert_eq!(batched[0], batched[1]);
         prop_assert_eq!(batched[1], batched[2]);
         prop_assert_eq!(batched[0], classify_per_config(&cell, &records));
+    }
+
+    /// The LRU stack property as a metamorphic invariant: over one trace,
+    /// a larger fully-associative table never misses more, and every
+    /// capacity misses at least the compulsory references.
+    #[test]
+    fn fa_misses_never_increase_with_capacity(
+        records in proptest::collection::vec(arb_record(), 0..300),
+        raw_capacities in proptest::collection::vec(1u64..=64, 1..8),
+        history_bits in 0u32..=12,
+    ) {
+        let mut capacities = raw_capacities;
+        capacities.sort_unstable();
+        capacities.dedup();
+        let columns = TraceColumns::from_records(&records);
+        let fa = batch::fa_pass(&columns, history_bits, &capacities);
+        prop_assert_eq!(fa.misses.len(), capacities.len());
+        for pair in fa.misses.windows(2) {
+            prop_assert!(pair[1] <= pair[0], "misses grew with capacity: {:?}", fa.misses);
+        }
+        for &misses in &fa.misses {
+            prop_assert!(fa.cold_misses <= misses && misses <= fa.references);
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end claims for the extensions: the future-work features of
 //! section 7 realized, and the aliasing-taxonomy measurements.
 
-use gskew::aliasing::nature::AliasingNature;
+use gskew::aliasing::nature;
 use gskew::core::counter::CounterKind;
 use gskew::core::index::IndexFunction;
 use gskew::core::spec::parse_spec;
@@ -43,8 +43,9 @@ fn egskew_rivals_double_storage_gshare_at_long_history() {
 #[test]
 fn destructive_dominates_constructive_everywhere() {
     for bench in IbsBenchmark::all() {
-        let counts = AliasingNature::new(10, 8, IndexFunction::Gshare, CounterKind::TwoBit)
-            .run(bench.spec().build().take_conditionals(100_000));
+        let cols: TraceColumns = bench.spec().build().take_conditionals(100_000).collect();
+        let counts =
+            nature::run_sizes(&cols, 8, IndexFunction::Gshare, CounterKind::TwoBit, &[10])[0];
         assert!(counts.aliased() > 0, "{bench}: no aliasing measured");
         assert!(
             counts.destructive > 2 * counts.constructive,
