@@ -8,19 +8,19 @@
 //! that batch across the grid:
 //!
 //! * [`dm_pass`] — the direct-mapped tagged table as a monomorphized
-//!   kernel over [`TraceColumns`]: a flat tag array (cold entries encoded
-//!   by a sentinel address, so the hot loop compares one `(u64, u64)`
-//!   pair instead of unwrapping an `Option`) and an inlined history
-//!   register, with the index function pinned outside the loop exactly
-//!   like the predictor kernels in `bpred-sim`.
+//!   kernel over the plain pair walk ([`crate::pairs::walk`]): a flat tag
+//!   array (cold entries encoded by a sentinel address, so the hot loop
+//!   compares one `(u64, u64)` pair instead of unwrapping an `Option`),
+//!   with the index function pinned outside the loop exactly like the
+//!   predictor kernels in `bpred-sim`.
 //! * [`fa_pass`] — *every* fully-associative LRU capacity from one
 //!   last-use-distance computation: a reference with stack distance `d`
 //!   hits an `N`-entry LRU table iff `d < N`, so a single
-//!   [`LastUseDistance`] walk plus a [`CapacitySweep`] yields the exact
-//!   miss and cold-miss counts for all table sizes at once. The pass is
-//!   keyed by history length only — cells that share a history share the
-//!   FA reference regardless of index function, since the FA table never
-//!   indexes.
+//!   [`LastUseDistance`] walk over pair ids ([`crate::pairs::walk_ids`])
+//!   plus a [`CapacitySweep`] yields the exact miss and cold-miss counts
+//!   for all table sizes at once. The pass is keyed by history length
+//!   only — cells that share a history share the FA reference regardless
+//!   of index function, since the FA table never indexes.
 //!
 //! The contract is **bit identity**: assembled [`ThreeCCounts`] equal the
 //! classifier's counts integer for integer, and both derive their ratio
@@ -30,8 +30,8 @@
 //! naive-LRU reference model test.
 
 use crate::distance::{CapacitySweep, LastUseDistance};
+use crate::pairs::{walk, walk_ids};
 use crate::three_c::ThreeCCounts;
-use bpred_core::history::history_mask;
 use bpred_core::index::IndexFunction;
 use bpred_core::vector::InfoVector;
 use bpred_trace::soa::TraceColumns;
@@ -106,7 +106,6 @@ pub fn dm_pass(
         entries_log2 > 0 && entries_log2 <= 30,
         "entries_log2 {entries_log2} out of 1..=30"
     );
-    assert!(history_bits <= 64, "history_bits {history_bits} above 64");
     // Pin the index-function variant outside the loop so the match inside
     // `IndexFunction::index` const-folds per monomorphized copy.
     match func {
@@ -131,30 +130,20 @@ fn drive_dm(
 ) -> DmCounts {
     let mut tags: Vec<(u64, u64)> = vec![COLD; 1usize << entries_log2];
     let tmask = tags.len() - 1;
-    let hmask = history_mask(history_bits);
-    let mut hist = 0u64;
     let mut counts = DmCounts::default();
-    for (i, &pc) in cols.pcs().iter().enumerate() {
-        let (conditional, taken) = cols.cond_taken(i);
-        if conditional {
-            let v = InfoVector::new(pc, hist, history_bits);
-            // The extra mask is value-neutral (the index is already
-            // `entries_log2` bits) but lets the compiler drop the bounds
-            // check.
-            let idx = index(&v, entries_log2) as usize & tmask;
-            let pair = v.pair();
-            counts.references += 1;
-            let stored = tags[idx];
-            if stored != pair {
-                counts.misses += 1;
-                counts.cold_misses += u64::from(stored == COLD);
-                tags[idx] = pair;
-            }
-            hist = ((hist << 1) | u64::from(taken)) & hmask;
-        } else {
-            hist = ((hist << 1) | 1) & hmask;
+    walk(cols, history_bits, |r| {
+        // The extra mask is value-neutral (the index is already
+        // `entries_log2` bits) but lets the compiler drop the bounds check.
+        let idx = index(&r.vector, entries_log2) as usize & tmask;
+        let pair = r.vector.pair();
+        counts.references += 1;
+        let stored = tags[idx];
+        if stored != pair {
+            counts.misses += 1;
+            counts.cold_misses += u64::from(stored == COLD);
+            tags[idx] = pair;
         }
-    }
+    });
     counts
 }
 
@@ -172,20 +161,11 @@ fn drive_dm(
 /// Panics if `history_bits` exceeds 64, or on an invalid capacity list
 /// (see [`CapacitySweep::new`]).
 pub fn fa_pass(cols: &TraceColumns, history_bits: u32, capacities: &[u64]) -> FaCounts {
-    assert!(history_bits <= 64, "history_bits {history_bits} above 64");
     let mut lud = LastUseDistance::new();
     let mut sweep = CapacitySweep::new(capacities);
-    let hmask = history_mask(history_bits);
-    let mut hist = 0u64;
-    for (i, &pc) in cols.pcs().iter().enumerate() {
-        let (conditional, taken) = cols.cond_taken(i);
-        if conditional {
-            sweep.observe(lud.observe((pc >> 2, hist)));
-            hist = ((hist << 1) | u64::from(taken)) & hmask;
-        } else {
-            hist = ((hist << 1) | 1) & hmask;
-        }
-    }
+    walk_ids(cols, history_bits, |_, pair| {
+        sweep.observe(lud.observe(pair.id))
+    });
     FaCounts {
         references: sweep.references(),
         cold_misses: sweep.first_uses(),

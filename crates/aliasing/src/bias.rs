@@ -5,51 +5,42 @@
 //! module measures per-pair outcome tallies and reports that density,
 //! along with the dynamic taken rate.
 
-use crate::cursor::PairCursor;
-use bpred_trace::record::{BranchKind, BranchRecord};
-use std::collections::HashMap;
+use crate::pairs::walk_ids;
+use bpred_trace::soa::TraceColumns;
 
 /// Per-substream outcome tallies and the derived bias statistics.
 #[derive(Debug, Clone)]
 pub struct BiasStats {
-    cursor: PairCursor,
-    tallies: HashMap<(u64, u64), (u64, u64)>, // (taken, total)
+    /// `(taken, total)` per pair id.
+    tallies: Vec<(u64, u64)>,
     dynamic_taken: u64,
     dynamic: u64,
 }
 
 impl BiasStats {
-    /// Bias statistics under `history_bits` of global history.
-    pub fn new(history_bits: u32) -> Self {
+    /// Bias statistics of `cols` under `history_bits` of global history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history_bits` exceeds 64.
+    pub fn measure(cols: &TraceColumns, history_bits: u32) -> Self {
+        let mut tallies: Vec<(u64, u64)> = Vec::new();
+        walk_ids(cols, history_bits, |r, pair| {
+            if pair.first {
+                tallies.push((0, 0));
+            }
+            let tally = &mut tallies[pair.id as usize];
+            tally.0 += u64::from(r.taken);
+            tally.1 += 1;
+        });
+        let (dynamic_taken, dynamic) = tallies
+            .iter()
+            .fold((0, 0), |(t, n), &(taken, total)| (t + taken, n + total));
         BiasStats {
-            cursor: PairCursor::new(history_bits),
-            tallies: HashMap::new(),
-            dynamic_taken: 0,
-            dynamic: 0,
+            tallies,
+            dynamic_taken,
+            dynamic,
         }
-    }
-
-    /// Account one trace record.
-    pub fn observe(&mut self, record: &BranchRecord) {
-        if record.kind == BranchKind::Conditional {
-            self.dynamic += 1;
-            self.dynamic_taken += u64::from(record.taken);
-            let entry = self
-                .tallies
-                .entry(self.cursor.pair(record.pc))
-                .or_insert((0, 0));
-            entry.0 += u64::from(record.taken);
-            entry.1 += 1;
-        }
-        self.cursor.advance(record);
-    }
-
-    /// Consume a whole stream.
-    pub fn run(mut self, records: impl Iterator<Item = BranchRecord>) -> Self {
-        for r in records {
-            self.observe(&r);
-        }
-        self
     }
 
     /// The paper's `b`: fraction of static `(address, history)` pairs
@@ -61,7 +52,7 @@ impl BiasStats {
         }
         let biased = self
             .tallies
-            .values()
+            .iter()
             .filter(|(taken, total)| 2 * taken >= *total)
             .count();
         biased as f64 / self.tallies.len() as f64
@@ -90,7 +81,7 @@ impl BiasStats {
         }
         let agree: u64 = self
             .tallies
-            .values()
+            .iter()
             .map(|&(taken, total)| taken.max(total - taken))
             .sum();
         agree as f64 / self.dynamic as f64
@@ -100,6 +91,11 @@ impl BiasStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpred_trace::record::BranchRecord;
+
+    fn measure(records: &[BranchRecord], history_bits: u32) -> BiasStats {
+        BiasStats::measure(&TraceColumns::from_records(records), history_bits)
+    }
 
     #[test]
     fn counts_majorities() {
@@ -110,7 +106,7 @@ mod tests {
             BranchRecord::conditional(0x200, false),
             BranchRecord::conditional(0x200, false),
         ];
-        let b = BiasStats::new(0).run(records.into_iter());
+        let b = measure(&records, 0);
         assert_eq!(b.static_pairs(), 2);
         assert!((b.static_bias_taken() - 0.5).abs() < 1e-12);
         assert!((b.dynamic_taken_rate() - 0.4).abs() < 1e-12);
@@ -124,13 +120,13 @@ mod tests {
             BranchRecord::conditional(0x100, true),
             BranchRecord::conditional(0x100, false),
         ];
-        let b = BiasStats::new(0).run(records.into_iter());
+        let b = measure(&records, 0);
         assert_eq!(b.static_bias_taken(), 1.0);
     }
 
     #[test]
     fn empty_is_zero() {
-        let b = BiasStats::new(4).run(std::iter::empty());
+        let b = measure(&[], 4);
         assert_eq!(b.static_bias_taken(), 0.0);
         assert_eq!(b.dynamic_taken_rate(), 0.0);
         assert_eq!(b.majority_agreement(), 0.0);

@@ -9,20 +9,20 @@
 //!
 //! The tracker runs in O(log T) per reference using a Fenwick tree over
 //! reference timestamps holding a 1 at the *most recent* position of each
-//! distinct pair.
+//! distinct pair. Pairs arrive as dense ids from the pair walk
+//! ([`crate::pairs::walk_ids`]), so the last use of each pair is a flat
+//! vector indexed by id.
 
-use bpred_core::hash::PairMap;
-
-/// Streaming last-use-distance tracker.
+/// Streaming last-use-distance tracker over pair ids.
 ///
 /// ```
 /// use bpred_aliasing::distance::LastUseDistance;
 ///
 /// let mut d = LastUseDistance::new();
-/// assert_eq!(d.observe((1, 0)), None);      // first use
-/// assert_eq!(d.observe((2, 0)), None);
-/// assert_eq!(d.observe((1, 0)), Some(1));   // one distinct pair between
-/// assert_eq!(d.observe((1, 0)), Some(0));   // immediate reuse
+/// assert_eq!(d.observe(0), None);      // first use
+/// assert_eq!(d.observe(1), None);
+/// assert_eq!(d.observe(0), Some(1));   // one distinct pair between
+/// assert_eq!(d.observe(0), Some(0));   // immediate reuse
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LastUseDistance {
@@ -32,8 +32,8 @@ pub struct LastUseDistance {
     /// so the tree can be rebuilt when it grows — a Fenwick tree cannot be
     /// extended by zero-filling, because a new node covers old positions.
     marks: Vec<u8>,
-    /// Most recent timestamp of each pair (1-based).
-    last: PairMap<usize>,
+    /// Most recent timestamp of each pair id (1-based; 0 = never seen).
+    last: Vec<usize>,
     /// Next timestamp.
     now: usize,
 }
@@ -44,7 +44,7 @@ impl LastUseDistance {
         LastUseDistance {
             tree: vec![0; 1024],
             marks: vec![0; 1024],
-            last: PairMap::default(),
+            last: Vec::new(),
             now: 0,
         }
     }
@@ -84,22 +84,26 @@ impl LastUseDistance {
         self.tree = tree;
     }
 
-    /// Record a reference to `pair`; returns its last-use distance, or
-    /// `None` on first use.
-    pub fn observe(&mut self, pair: (u64, u64)) -> Option<u64> {
+    /// Record a reference to the pair with id `id`; returns its last-use
+    /// distance, or `None` on first use.
+    pub fn observe(&mut self, id: u32) -> Option<u64> {
         self.now += 1;
         let now = self.now;
         if now >= self.tree.len() {
             self.grow();
         }
-        let distance = match self.last.insert(pair, now) {
-            Some(prev) => {
+        let id = id as usize;
+        if id >= self.last.len() {
+            self.last.resize(id + 1, 0);
+        }
+        let distance = match std::mem::replace(&mut self.last[id], now) {
+            0 => None,
+            prev => {
                 // Distinct pairs strictly between prev and now.
                 let d = self.prefix(now - 1) - self.prefix(prev);
                 self.add(prev, -1);
                 Some(d)
             }
-            None => None,
         };
         self.add(now, 1);
         distance
@@ -107,7 +111,7 @@ impl LastUseDistance {
 
     /// Number of distinct pairs seen so far.
     pub fn distinct_pairs(&self) -> usize {
-        self.last.len()
+        self.last.iter().filter(|&&stamp| stamp != 0).count()
     }
 
     /// Number of references observed.
@@ -200,11 +204,6 @@ impl CapacitySweep {
             })
             .collect()
     }
-
-    /// The capacity list under measurement.
-    pub fn capacities(&self) -> &[u64] {
-        &self.capacities
-    }
 }
 
 /// A power-of-two histogram of last-use distances with a first-use bucket,
@@ -271,14 +270,6 @@ impl DistanceHistogram {
         }
         hits as f64 / self.total as f64
     }
-
-    /// The raw buckets: `(upper_bound_exclusive, count)` pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (if i == 0 { 1 } else { 1u64 << i }, c))
-    }
 }
 
 #[cfg(test)]
@@ -287,7 +278,7 @@ mod tests {
 
     /// O(n^2) reference implementation: scan back for the previous
     /// occurrence and count distinct pairs in between.
-    fn naive_distances(refs: &[(u64, u64)]) -> Vec<Option<u64>> {
+    fn naive_distances(refs: &[u32]) -> Vec<Option<u64>> {
         let mut out = Vec::with_capacity(refs.len());
         for (i, &p) in refs.iter().enumerate() {
             let prev = refs[..i].iter().rposition(|&q| q == p);
@@ -305,12 +296,12 @@ mod tests {
     #[test]
     fn simple_sequence() {
         let mut d = LastUseDistance::new();
-        assert_eq!(d.observe((1, 0)), None);
-        assert_eq!(d.observe((2, 0)), None);
-        assert_eq!(d.observe((3, 0)), None);
-        assert_eq!(d.observe((1, 0)), Some(2));
-        assert_eq!(d.observe((1, 0)), Some(0));
-        assert_eq!(d.observe((2, 0)), Some(2));
+        assert_eq!(d.observe(1), None);
+        assert_eq!(d.observe(2), None);
+        assert_eq!(d.observe(3), None);
+        assert_eq!(d.observe(1), Some(2));
+        assert_eq!(d.observe(1), Some(0));
+        assert_eq!(d.observe(2), Some(2));
         assert_eq!(d.distinct_pairs(), 3);
         assert_eq!(d.references(), 6);
     }
@@ -318,12 +309,12 @@ mod tests {
     #[test]
     fn repeated_pair_between_does_not_double_count() {
         let mut d = LastUseDistance::new();
-        d.observe((1, 0));
-        d.observe((2, 0));
-        d.observe((2, 0));
-        d.observe((2, 0));
+        d.observe(1);
+        d.observe(2);
+        d.observe(2);
+        d.observe(2);
         // Only ONE distinct pair (2) since the last use of 1.
-        assert_eq!(d.observe((1, 0)), Some(1));
+        assert_eq!(d.observe(1), Some(1));
     }
 
     #[test]
@@ -331,8 +322,9 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(99);
-        let refs: Vec<(u64, u64)> = (0..2_000)
-            .map(|_| (rng.gen_range(0..40u64), rng.gen_range(0..4u64)))
+        // Pair (a, h) with a < 40, h < 4 is id `4a + h`.
+        let refs: Vec<u32> = (0..2_000)
+            .map(|_| 4 * rng.gen_range(0..40u32) + rng.gen_range(0..4u32))
             .collect();
         let naive = naive_distances(&refs);
         let mut fast = LastUseDistance::new();
@@ -345,16 +337,16 @@ mod tests {
     fn tree_grows_past_initial_capacity() {
         let mut d = LastUseDistance::new();
         for i in 0..5_000u64 {
-            d.observe((i % 7, 0));
+            d.observe((i % 7) as u32);
         }
         assert_eq!(d.references(), 5_000);
         assert_eq!(d.distinct_pairs(), 7);
         // The loop ends at i=4999 (pair 1); the last use of pair 2 was at
         // i=4993, with the 6 other pairs touched since.
-        assert_eq!(d.observe((2, 0)), Some(6));
+        assert_eq!(d.observe(2), Some(6));
         // And the steady-state period: re-observing pair 2 immediately
         // gives distance 0.
-        assert_eq!(d.observe((2, 0)), Some(0));
+        assert_eq!(d.observe(2), Some(0));
     }
 
     #[test]
@@ -396,8 +388,9 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(7);
-        let refs: Vec<(u64, u64)> = (0..3_000)
-            .map(|_| (rng.gen_range(0..60u64), rng.gen_range(0..4u64)))
+        // Pair (a, h) with a < 60, h < 4 is id `4a + h`.
+        let refs: Vec<u32> = (0..3_000)
+            .map(|_| 4 * rng.gen_range(0..60u32) + rng.gen_range(0..4u32))
             .collect();
         let capacities = [1u64, 2, 8, 16, 64];
         let mut lud = LastUseDistance::new();

@@ -18,13 +18,13 @@
 //! instruments plus the last-use-distance machinery behind the paper's
 //! analytical model:
 //!
-//! * [`cursor`] — turns a branch-record stream into `(address, history)`
-//!   references.
-//! * [`tagged`] — direct-mapped tagged table
-//!   ([`tagged::TaggedDirectMapped`]).
-//! * [`fully_assoc`] — fully-associative LRU tagged table.
-//! * [`three_c`] — one-pass classifier producing the compulsory /
-//!   capacity / conflict breakdown of figures 1 and 2.
+//! * [`pairs`] — the pair walk every instrument runs on: each conditional
+//!   record's `(address, history)` pair, dense pair ids and the unaliased
+//!   shadow predictor over them.
+//! * [`cursor`], [`tagged`], [`fully_assoc`], [`three_c`] — the
+//!   record-stream reference path (pair cursor, direct-mapped and
+//!   fully-associative LRU tagged tables, per-configuration classifier)
+//!   the fast paths are tested against.
 //! * [`batch`] — single-pass batched grid classification: monomorphized
 //!   direct-mapped kernels over a column-view trace plus one shared
 //!   last-use-distance pass serving every fully-associative capacity at
@@ -53,6 +53,7 @@ pub mod distance;
 pub mod fully_assoc;
 pub mod nature;
 pub mod offenders;
+pub mod pairs;
 pub mod set_assoc;
 pub mod substream;
 pub mod tagged;
@@ -67,6 +68,7 @@ pub mod prelude {
     pub use crate::fully_assoc::TaggedFullyAssociative;
     pub use crate::nature::NatureCounts;
     pub use crate::offenders::{OffenderAnalysis, OffenderPair};
+    pub use crate::pairs::{PairId, PairIds, Reference, Shadow};
     pub use crate::set_assoc::TaggedSetAssociative;
     pub use crate::substream::SubstreamStats;
     pub use crate::tagged::TaggedDirectMapped;

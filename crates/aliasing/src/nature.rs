@@ -13,14 +13,13 @@
 //! dynamic branch where the tagged table detects aliasing, the pair of
 //! (aliased, unaliased) correctness classifies the event.
 //!
-//! The shadow does not depend on the table size, so one walk over a
-//! trace serves a whole size sweep: pairs are interned into dense ids
-//! once, the shadow is updated once per record, and only the aliased
-//! table and its owner array are kept per size.
+//! The shadow does not depend on the table size, so one pair walk over a
+//! trace serves a whole size sweep: the shared [`Shadow`] is stepped once
+//! per record by pair id, and only the aliased table and its owner array
+//! of pair ids are kept per size.
 
-use bpred_core::counter::{CounterKind, CounterTable, SatCounter};
-use bpred_core::hash::PairMap;
-use bpred_core::history::history_mask;
+use crate::pairs::{walk_ids, Shadow};
+use bpred_core::counter::{CounterKind, CounterTable};
 use bpred_core::index::IndexFunction;
 use bpred_core::predictor::Outcome;
 use bpred_core::vector::InfoVector;
@@ -80,8 +79,8 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Cold-entry sentinel of the per-size owner arrays: pair ids are dense
-/// from 0, so `u32::MAX` never names a pair.
+/// Cold-entry sentinel of the per-size owner arrays: no pair id is
+/// `u32::MAX`.
 const COLD: u32 = u32::MAX;
 
 /// One table size under classification: the aliased table, who touched
@@ -101,11 +100,10 @@ struct Bank {
 ///
 /// The unaliased shadow depends only on the `(address, history)` pair
 /// stream, not on the table size, so it is built once and shared by
-/// every size: each pair is interned into a dense id on first sight, the
-/// shadow is one automaton per id, and each size's owner array stores
-/// ids. A reference is aliased when its entry was last touched by a
-/// different pair (a cold entry is not an inter-substream event); the
-/// first reference to a pair is compulsory and left unclassified.
+/// every size, and each size's owner array stores pair ids. A reference
+/// is aliased when its entry was last touched by a different pair (a
+/// cold entry is not an inter-substream event); the first reference to a
+/// pair is compulsory and left unclassified.
 ///
 /// # Panics
 ///
@@ -120,7 +118,6 @@ pub fn run_sizes(
     for &n in entries_log2 {
         assert!(n > 0 && n <= 30, "entries_log2 {n} out of 1..=30");
     }
-    assert!(history_bits <= 64, "history_bits {history_bits} above 64");
     // Pin the index-function variant outside the loop, as `dm_pass` does.
     match func {
         IndexFunction::Bimodal => drive(cols, history_bits, kind, entries_log2, |v, n| {
@@ -152,45 +149,21 @@ fn drive(
             counts: NatureCounts::default(),
         })
         .collect();
-    let mut ids: PairMap<u32> = PairMap::default();
-    // The unaliased shadow: one automaton per pair id.
-    let mut shadow: Vec<SatCounter> = Vec::new();
-    let mut compulsory = 0u64;
-    let hmask = history_mask(history_bits);
-    let mut hist = 0u64;
-    for (i, &pc) in cols.pcs().iter().enumerate() {
-        let (conditional, taken) = cols.cond_taken(i);
-        if !conditional {
-            hist = ((hist << 1) | 1) & hmask;
-            continue;
-        }
-        let v = InfoVector::new(pc, hist, history_bits);
-        let outcome = Outcome::from(taken);
-        let next = u32::try_from(shadow.len())
-            .ok()
-            .filter(|&id| id != COLD)
-            .expect("more distinct pairs than pair ids");
-        let id = *ids.entry(v.pair()).or_insert(next);
+    let mut shadow = Shadow::new(kind);
+    let compulsory = walk_ids(cols, history_bits, |r, pair| {
+        let outcome = Outcome::from(r.taken);
+        let prediction = shadow.step(pair, outcome);
         // Whether the shadow predicted right; `None` on a first encounter.
-        let shadow_right = if id == next {
-            shadow.push(SatCounter::seeded(kind, outcome));
-            compulsory += 1;
-            None
-        } else {
-            let counter = &mut shadow[id as usize];
-            let right = counter.predict() == outcome;
-            counter.train(outcome);
-            Some(right)
-        };
+        let shadow_right = (!prediction.novel).then_some(prediction.outcome == outcome);
         for bank in &mut banks {
-            let idx = index(&v, bank.entries_log2);
+            let idx = index(&r.vector, bank.entries_log2);
             // Value-neutral mask (the index is already in range) that
             // lets the compiler drop the bounds check.
             let entry = idx as usize & (bank.owners.len() - 1);
             // A pair seen before last indexed this same entry, so a
             // classified reference never finds it cold: any other owner
             // is another substream.
-            let aliased = std::mem::replace(&mut bank.owners[entry], id) != id;
+            let aliased = std::mem::replace(&mut bank.owners[entry], pair.id) != pair.id;
             let aliased_right = bank.table.predict_train(idx, outcome) == outcome;
             let counts = &mut bank.counts;
             match shadow_right {
@@ -203,8 +176,7 @@ fn drive(
                 },
             }
         }
-        hist = ((hist << 1) | u64::from(taken)) & hmask;
-    }
+    });
     banks
         .into_iter()
         .map(|bank| NatureCounts {
@@ -218,6 +190,7 @@ fn drive(
 mod tests {
     use super::*;
     use crate::cursor::PairCursor;
+    use bpred_core::counter::SatCounter;
     use bpred_trace::prelude::*;
     use bpred_trace::record::{BranchKind, BranchRecord, Privilege};
     use proptest::prelude::*;

@@ -7,9 +7,9 @@
 //! list a hand-tuning engineer (or a code-layout tool in the spirit of
 //! the paper's reference \[21\]) would start from.
 
-use crate::cursor::PairCursor;
+use crate::pairs::walk;
 use bpred_core::index::IndexFunction;
-use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_trace::soa::TraceColumns;
 use std::collections::HashMap;
 
 /// One entry of the offender report.
@@ -21,77 +21,63 @@ pub struct OffenderPair {
     pub occurrences: u64,
 }
 
-/// Tracks pairwise interference in a direct-mapped tag-less table.
+/// Pairwise interference in a direct-mapped tag-less table.
 #[derive(Debug, Clone)]
 pub struct OffenderAnalysis {
-    cursor: PairCursor,
-    /// Per table entry: the (pair identity, branch address) that last
-    /// touched it.
-    owners: Vec<Option<((u64, u64), u64)>>,
     counts: HashMap<(u64, u64), u64>,
-    func: IndexFunction,
-    n: u32,
     total_aliasing: u64,
     self_aliasing: u64,
 }
 
 impl OffenderAnalysis {
-    /// An analysis over a `2^entries_log2`-entry table with
-    /// `history_bits` of global history, indexed by `func`.
+    /// Attribute the aliasing of `cols` in a `2^entries_log2`-entry table
+    /// with `history_bits` of global history, indexed by `func`.
     ///
     /// # Panics
     ///
-    /// Panics if `entries_log2` is 0 or above 30.
-    pub fn new(entries_log2: u32, history_bits: u32, func: IndexFunction) -> Self {
+    /// Panics if `entries_log2` is 0 or above 30, or `history_bits` above
+    /// 64.
+    pub fn measure(
+        cols: &TraceColumns,
+        entries_log2: u32,
+        history_bits: u32,
+        func: IndexFunction,
+    ) -> Self {
         assert!(
             entries_log2 > 0 && entries_log2 <= 30,
             "entries_log2 {entries_log2} out of 1..=30"
         );
-        OffenderAnalysis {
-            cursor: PairCursor::new(history_bits),
-            owners: vec![None; 1 << entries_log2],
+        // Per table entry: the (pair identity, branch address) that last
+        // touched it.
+        let mut owners: Vec<Option<((u64, u64), u64)>> = vec![None; 1 << entries_log2];
+        let mut analysis = OffenderAnalysis {
             counts: HashMap::new(),
-            func,
-            n: entries_log2,
             total_aliasing: 0,
             self_aliasing: 0,
-        }
-    }
-
-    /// Account one trace record.
-    pub fn observe(&mut self, record: &BranchRecord) {
-        if record.kind == BranchKind::Conditional {
-            let v = self.cursor.vector(record.pc);
-            let pair = v.pair();
-            let idx = self.func.index(&v, self.n) as usize;
-            if let Some((owner_pair, owner_pc)) = self.owners[idx] {
+        };
+        walk(cols, history_bits, |r| {
+            let pair = r.vector.pair();
+            let idx = func.index(&r.vector, entries_log2) as usize;
+            if let Some((owner_pair, owner_pc)) = owners[idx] {
                 if owner_pair != pair {
-                    self.total_aliasing += 1;
-                    if owner_pc == record.pc {
+                    analysis.total_aliasing += 1;
+                    if owner_pc == r.pc {
                         // The same static branch under another history —
                         // self-aliasing, not an inter-branch conflict.
-                        self.self_aliasing += 1;
+                        analysis.self_aliasing += 1;
                     } else {
-                        let key = if owner_pc < record.pc {
-                            (owner_pc, record.pc)
+                        let key = if owner_pc < r.pc {
+                            (owner_pc, r.pc)
                         } else {
-                            (record.pc, owner_pc)
+                            (r.pc, owner_pc)
                         };
-                        *self.counts.entry(key).or_insert(0) += 1;
+                        *analysis.counts.entry(key).or_insert(0) += 1;
                     }
                 }
             }
-            self.owners[idx] = Some((pair, record.pc));
-        }
-        self.cursor.advance(record);
-    }
-
-    /// Consume a whole record stream.
-    pub fn run(mut self, records: impl Iterator<Item = BranchRecord>) -> Self {
-        for r in records {
-            self.observe(&r);
-        }
-        self
+            owners[idx] = Some((pair, r.pc));
+        });
+        analysis
     }
 
     /// The `k` worst interfering branch pairs, most occurrences first.
@@ -151,11 +137,17 @@ mod tests {
         // Two branches in a tiny bimodal-indexed table, same entry.
         let a = 0x1000;
         let b = a + (1 << (1 + 2));
-        let mut analysis = OffenderAnalysis::new(1, 0, IndexFunction::Bimodal);
+        let mut records = Vec::new();
         for _ in 0..10 {
-            analysis.observe(&BranchRecord::conditional(a, true));
-            analysis.observe(&BranchRecord::conditional(b, false));
+            records.push(BranchRecord::conditional(a, true));
+            records.push(BranchRecord::conditional(b, false));
         }
+        let analysis = OffenderAnalysis::measure(
+            &TraceColumns::from_records(&records),
+            1,
+            0,
+            IndexFunction::Bimodal,
+        );
         let top = analysis.top(5);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].branches, (a, b));
@@ -170,12 +162,18 @@ mod tests {
         // 2-entry table the XOR-folded gshare index is the same for both
         // patterns, so its two substreams evict each other — pure
         // self-aliasing.
-        let mut analysis = OffenderAnalysis::new(1, 2, IndexFunction::Gshare);
+        let mut records = Vec::new();
         let mut taken = true;
         for _ in 0..20 {
-            analysis.observe(&BranchRecord::conditional(0x1000, taken));
+            records.push(BranchRecord::conditional(0x1000, taken));
             taken = !taken;
         }
+        let analysis = OffenderAnalysis::measure(
+            &TraceColumns::from_records(&records),
+            1,
+            2,
+            IndexFunction::Gshare,
+        );
         assert!(analysis.total_aliasing() > 0);
         assert_eq!(
             analysis.total_aliasing(),
@@ -187,12 +185,12 @@ mod tests {
 
     #[test]
     fn workload_conflicts_are_concentrated() {
-        let analysis = OffenderAnalysis::new(10, 4, IndexFunction::Gshare).run(
-            IbsBenchmark::Groff
-                .spec()
-                .build()
-                .take_conditionals(100_000),
-        );
+        let cols: TraceColumns = IbsBenchmark::Groff
+            .spec()
+            .build()
+            .take_conditionals(100_000)
+            .collect();
+        let analysis = OffenderAnalysis::measure(&cols, 10, 4, IndexFunction::Gshare);
         assert!(analysis.total_aliasing() > 0);
         assert!(analysis.distinct_pairs() > 10);
         // Zipf-skewed workloads concentrate conflicts: the 20 worst pairs
@@ -208,7 +206,12 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let analysis = OffenderAnalysis::new(4, 4, IndexFunction::Gshare).run(std::iter::empty());
+        let analysis = OffenderAnalysis::measure(
+            &TraceColumns::from_records(&[]),
+            4,
+            4,
+            IndexFunction::Gshare,
+        );
         assert_eq!(analysis.total_aliasing(), 0);
         assert!(analysis.top(5).is_empty());
         assert_eq!(analysis.concentration(5), 0.0);

@@ -13,29 +13,29 @@
 //! [`TaggedDirectMapped`]: crate::tagged::TaggedDirectMapped
 //! [`TaggedFullyAssociative`]: crate::fully_assoc::TaggedFullyAssociative
 
-use bpred_core::hash::PairMap;
+use crate::pairs::PairId;
 use bpred_core::index::IndexFunction;
 use bpred_core::vector::InfoVector;
 
 #[derive(Debug, Clone, Copy)]
 struct Way {
-    pair: (u64, u64),
+    id: u32,
     stamp: u64,
 }
 
-/// An identity-storing, set-associative table with per-set LRU.
+/// An identity-storing, set-associative table with per-set LRU. Entries
+/// hold pair ids from one pair walk ([`crate::pairs::walk_ids`]), so a
+/// table serves one walk.
 #[derive(Debug, Clone)]
 pub struct TaggedSetAssociative {
     sets: Vec<Vec<Way>>,
     sets_log2: u32,
     ways: usize,
     func: IndexFunction,
-    tick: u64,
+    /// References so far, also the LRU clock.
     accesses: u64,
     misses: u64,
     cold_misses: u64,
-    /// Pairs referenced so far (lookup-only, so the fast hasher is safe).
-    seen: PairMap<()>,
 }
 
 impl TaggedSetAssociative {
@@ -55,20 +55,17 @@ impl TaggedSetAssociative {
             sets_log2,
             ways,
             func,
-            tick: 0,
             accesses: 0,
             misses: 0,
             cold_misses: 0,
-            seen: PairMap::default(),
         }
     }
 
-    /// Reference the table; returns `true` on a miss.
-    pub fn access(&mut self, v: &InfoVector) -> bool {
+    /// Reference the table with the pair of vector `v`, whose id is
+    /// `pair`; returns `true` on a miss.
+    pub fn access(&mut self, v: &InfoVector, pair: PairId) -> bool {
         self.accesses += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        let pair = v.pair();
+        let tick = self.accesses;
         let set_index = if self.sets_log2 == 0 {
             0
         } else {
@@ -76,23 +73,22 @@ impl TaggedSetAssociative {
         };
         let ways = self.ways;
         let set = &mut self.sets[set_index];
-        if let Some(way) = set.iter_mut().find(|w| w.pair == pair) {
+        if let Some(way) = set.iter_mut().find(|w| w.id == pair.id) {
             way.stamp = tick;
             return false;
         }
         self.misses += 1;
-        if self.seen.insert(pair, ()).is_none() {
-            self.cold_misses += 1;
-        }
+        self.cold_misses += u64::from(pair.first);
+        let way = Way {
+            id: pair.id,
+            stamp: tick,
+        };
         if set.len() < ways {
-            set.push(Way { pair, stamp: tick });
+            set.push(way);
         } else {
-            let victim = set
-                .iter_mut()
+            *set.iter_mut()
                 .min_by_key(|w| w.stamp)
-                .expect("ways is nonzero");
-            victim.pair = pair;
-            victim.stamp = tick;
+                .expect("ways is nonzero") = way;
         }
         true
     }
@@ -137,6 +133,7 @@ mod tests {
     use super::*;
     use crate::cursor::PairCursor;
     use crate::fully_assoc::TaggedFullyAssociative;
+    use crate::pairs::PairIds;
     use crate::tagged::TaggedDirectMapped;
     use bpred_trace::record::BranchKind;
     use bpred_trace::stream::TraceSourceExt;
@@ -152,6 +149,7 @@ mod tests {
         let mut sa = TaggedSetAssociative::new(6, 1, IndexFunction::Gshare);
         let mut dm = TaggedDirectMapped::new(6, IndexFunction::Gshare);
         let mut cursor = PairCursor::new(4);
+        let mut ids = PairIds::new();
         for r in IbsBenchmark::Verilog
             .spec()
             .build()
@@ -159,7 +157,7 @@ mod tests {
         {
             if r.kind == BranchKind::Conditional {
                 let vec = cursor.vector(r.pc);
-                sa.access(&vec);
+                sa.access(&vec, ids.intern(vec.pair()));
                 dm.access(&vec);
             }
             cursor.advance(&r);
@@ -183,9 +181,11 @@ mod tests {
                 IndexFunction::Gshare,
             );
             let mut cursor = PairCursor::new(4);
+            let mut ids = PairIds::new();
             for r in IbsBenchmark::Groff.spec().build().take_conditionals(60_000) {
                 if r.kind == BranchKind::Conditional {
-                    sa.access(&cursor.vector(r.pc));
+                    let vec = cursor.vector(r.pc);
+                    sa.access(&vec, ids.intern(vec.pair()));
                 }
                 cursor.advance(&r);
             }
@@ -211,6 +211,7 @@ mod tests {
         let mut sa = TaggedSetAssociative::new(0, capacity, IndexFunction::Gshare);
         let mut fa = TaggedFullyAssociative::new(capacity);
         let mut cursor = PairCursor::new(4);
+        let mut ids = PairIds::new();
         for r in IbsBenchmark::MpegPlay
             .spec()
             .build()
@@ -218,7 +219,7 @@ mod tests {
         {
             if r.kind == BranchKind::Conditional {
                 let vec = cursor.vector(r.pc);
-                let sa_miss = sa.access(&vec);
+                let sa_miss = sa.access(&vec, ids.intern(vec.pair()));
                 let fa_miss = fa.access(vec.pair());
                 assert_eq!(sa_miss, fa_miss, "divergence at access {}", sa.accesses());
             }
@@ -231,13 +232,18 @@ mod tests {
     #[test]
     fn basic_hit_miss_and_eviction() {
         let mut sa = TaggedSetAssociative::new(1, 2, IndexFunction::Bimodal);
+        let mut ids = PairIds::new();
+        let mut access = |pc| {
+            let v = v(pc, 0);
+            sa.access(&v, ids.intern(v.pair()))
+        };
         // pcs 0x0, 0x8, 0x10 all map to set 0 (even word addresses).
-        assert!(sa.access(&v(0x0, 0)));
-        assert!(sa.access(&v(0x8, 0)));
-        assert!(!sa.access(&v(0x0, 0)), "resident hits");
-        assert!(sa.access(&v(0x10, 0)), "third pair misses");
+        assert!(access(0x0));
+        assert!(access(0x8));
+        assert!(!access(0x0), "resident hits");
+        assert!(access(0x10), "third pair misses");
         // 0x8 was LRU, so it is gone:
-        assert!(sa.access(&v(0x8, 0)));
+        assert!(access(0x8));
         assert_eq!(sa.cold_misses(), 3);
         assert_eq!(sa.capacity(), 4);
         assert_eq!(sa.ways(), 2);

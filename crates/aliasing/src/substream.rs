@@ -6,52 +6,44 @@
 //! aliasing is the number of distinct `(address, history)` pairs divided
 //! by the dynamic conditional branch count.
 
-use crate::cursor::PairCursor;
-use bpred_trace::record::{BranchKind, BranchRecord};
+use crate::pairs::{walk_ids, PairId, Reference};
+use bpred_trace::soa::TraceColumns;
 use std::collections::HashSet;
 
-/// Streaming substream statistics for one history length.
-#[derive(Debug, Clone)]
+/// Substream statistics for one history length, fed by a pair walk.
+#[derive(Debug, Clone, Default)]
 pub struct SubstreamStats {
-    cursor: PairCursor,
-    pairs: HashSet<(u64, u64)>,
+    pairs: u64,
+    /// Addresses of the pairs seen, inserted once per pair.
     addresses: HashSet<u64>,
     dynamic: u64,
 }
 
 impl SubstreamStats {
-    /// Statistics under `history_bits` of global history.
-    pub fn new(history_bits: u32) -> Self {
-        SubstreamStats {
-            cursor: PairCursor::new(history_bits),
-            pairs: HashSet::new(),
-            addresses: HashSet::new(),
-            dynamic: 0,
-        }
+    /// The statistics of `cols` under `history_bits` of global history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history_bits` exceeds 64.
+    pub fn measure(cols: &TraceColumns, history_bits: u32) -> Self {
+        let mut stats = SubstreamStats::default();
+        walk_ids(cols, history_bits, |r, pair| stats.observe(&r, pair));
+        stats
     }
 
-    /// Account one trace record.
-    pub fn observe(&mut self, record: &BranchRecord) {
-        if record.kind == BranchKind::Conditional {
-            self.dynamic += 1;
-            let pair = self.cursor.pair(record.pc);
-            self.pairs.insert(pair);
-            self.addresses.insert(pair.0);
+    /// Account one reference of a [`walk_ids`] walk.
+    #[inline]
+    pub fn observe(&mut self, r: &Reference, pair: PairId) {
+        self.dynamic += 1;
+        if pair.first {
+            self.pairs += 1;
+            self.addresses.insert(r.vector.addr());
         }
-        self.cursor.advance(record);
-    }
-
-    /// Consume a whole stream.
-    pub fn run(mut self, records: impl Iterator<Item = BranchRecord>) -> Self {
-        for r in records {
-            self.observe(&r);
-        }
-        self
     }
 
     /// Distinct `(address, history)` pairs seen.
     pub fn distinct_pairs(&self) -> u64 {
-        self.pairs.len() as u64
+        self.pairs
     }
 
     /// Distinct conditional branch addresses seen.
@@ -69,7 +61,7 @@ impl SubstreamStats {
         if self.addresses.is_empty() {
             0.0
         } else {
-            self.pairs.len() as f64 / self.addresses.len() as f64
+            self.pairs as f64 / self.addresses.len() as f64
         }
     }
 
@@ -79,7 +71,7 @@ impl SubstreamStats {
         if self.dynamic == 0 {
             0.0
         } else {
-            self.pairs.len() as f64 / self.dynamic as f64
+            self.pairs as f64 / self.dynamic as f64
         }
     }
 }
@@ -89,6 +81,10 @@ mod tests {
     use super::*;
     use bpred_trace::prelude::*;
 
+    fn measure(records: &[BranchRecord], history_bits: u32) -> SubstreamStats {
+        SubstreamStats::measure(&TraceColumns::from_records(records), history_bits)
+    }
+
     #[test]
     fn zero_history_ratio_is_one() {
         let records = vec![
@@ -96,7 +92,7 @@ mod tests {
             BranchRecord::conditional(0x200, false),
             BranchRecord::conditional(0x100, false),
         ];
-        let s = SubstreamStats::new(0).run(records.into_iter());
+        let s = measure(&records, 0);
         assert_eq!(s.distinct_pairs(), 2);
         assert_eq!(s.distinct_addresses(), 2);
         assert!((s.substream_ratio() - 1.0).abs() < 1e-12);
@@ -106,9 +102,9 @@ mod tests {
     #[test]
     fn longer_history_multiplies_substreams() {
         let records: Vec<_> = IbsBenchmark::Groff.spec().build().take(100_000).collect();
-        let h0 = SubstreamStats::new(0).run(records.iter().copied());
-        let h4 = SubstreamStats::new(4).run(records.iter().copied());
-        let h12 = SubstreamStats::new(12).run(records.iter().copied());
+        let h0 = measure(&records, 0);
+        let h4 = measure(&records, 4);
+        let h12 = measure(&records, 12);
         assert!((h0.substream_ratio() - 1.0).abs() < 1e-12);
         assert!(h4.substream_ratio() > 1.2, "h4: {}", h4.substream_ratio());
         assert!(
@@ -122,7 +118,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let s = SubstreamStats::new(4).run(std::iter::empty());
+        let s = measure(&[], 4);
         assert_eq!(s.substream_ratio(), 0.0);
         assert_eq!(s.compulsory_ratio(), 0.0);
     }
@@ -134,7 +130,7 @@ mod tests {
             BranchRecord::unconditional(0x104),
             BranchRecord::conditional(0x100, false),
         ];
-        let s = SubstreamStats::new(2).run(records.into_iter());
+        let s = measure(&records, 2);
         // Histories at the two executions of 0x100 are 00 and 10 (the
         // unconditional shifted a 1 in): two pairs, one address.
         assert_eq!(s.distinct_pairs(), 2);

@@ -57,6 +57,12 @@ fn arb_stream() -> impl Strategy<Value = Vec<(u64, u64)>> {
     proptest::collection::vec((0u64..20, 0u64..3), 0..400)
 }
 
+/// The distance tracker takes pair ids: number the `(a, h)` pairs of
+/// [`arb_stream`] one-to-one.
+fn id((a, h): (u64, u64)) -> u32 {
+    (a * 3 + h) as u32
+}
+
 proptest! {
     /// Per-access agreement on arbitrary streams: the naive list, the
     /// linked-list production LRU, and the distance predicate must call
@@ -73,7 +79,7 @@ proptest! {
             let want = naive.access(pair);
             let fast_missed = fast.access(pair);
             prop_assert_eq!(fast_missed, want != Access::Hit, "access {}: {:?}", i, want);
-            let d = distance.observe(pair);
+            let d = distance.observe(id(pair));
             let predicate = match d {
                 None => Access::ColdMiss,
                 Some(d) if d >= capacity as u64 => Access::CapacityMiss,
@@ -105,7 +111,7 @@ proptest! {
         let mut sweep = CapacitySweep::new(&capacities);
         let mut distance = LastUseDistance::new();
         for &pair in &stream {
-            sweep.observe(distance.observe(pair));
+            sweep.observe(distance.observe(id(pair)));
         }
         let mut naive_misses = Vec::new();
         for &cap in &capacities {
@@ -126,7 +132,7 @@ proptest! {
         let mut sweep = CapacitySweep::new(&capacities);
         let mut distance = LastUseDistance::new();
         for &pair in &stream {
-            sweep.observe(distance.observe(pair));
+            sweep.observe(distance.observe(id(pair)));
         }
         let misses = sweep.misses();
         for pair in misses.windows(2) {

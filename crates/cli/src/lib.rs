@@ -110,13 +110,18 @@ pub fn cli_main() -> ExitCode {
 ///
 /// # Errors
 ///
-/// Returns the message to print on stderr before exiting nonzero.
+/// Returns the message to print on stderr before exiting nonzero — the
+/// command's own error, or else the first results-store write that
+/// failed while it ran.
 pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
     resume::deconfigure();
     let result = dispatch_args(raw);
+    // A store write that failed during the command fails the command,
+    // after it has printed its output.
+    let write_error = resume::take_write_error();
     // The store flushes its index on every put; nothing to close.
     resume::deconfigure();
-    result
+    result.and(write_error.map_or(Ok(()), Err))
 }
 
 fn dispatch_args(raw: Vec<String>) -> Result<(), String> {

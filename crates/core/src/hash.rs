@@ -1,7 +1,8 @@
 //! A small deterministic hasher for the lookup-only substream maps.
 //!
 //! The tagged and unaliased predictors ([`crate::assoc`],
-//! [`crate::ideal`]) and the last-use-distance walk key hash maps by
+//! [`crate::ideal`]) and `bpred-aliasing`'s pair interner (`PairIds`,
+//! which numbers pairs for every aliasing instrument) key hash maps by
 //! `(address, history)` pairs and only ever look entries up: the maps are
 //! never iterated, so the hasher changes speed, not output. The default
 //! SipHash resists keys crafted to collide, which here can only come from

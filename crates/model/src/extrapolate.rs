@@ -18,12 +18,11 @@
 //! aliasing is not modeled.
 
 use bpred_aliasing::bias::BiasStats;
-use bpred_aliasing::cursor::PairCursor;
 use bpred_aliasing::distance::LastUseDistance;
+use bpred_aliasing::pairs::{walk_ids, Shadow};
 use bpred_core::counter::CounterKind;
-use bpred_core::ideal::Ideal;
-use bpred_core::predictor::{BranchPredictor, Outcome};
-use bpred_trace::record::{BranchKind, BranchRecord};
+use bpred_core::predictor::Outcome;
+use bpred_trace::soa::TraceColumns;
 
 use crate::prob::aliasing_probability;
 use crate::skew::p_sk;
@@ -53,34 +52,28 @@ pub struct Extrapolator {
 }
 
 impl Extrapolator {
-    /// Run the two-pass pipeline. `pass1` and `pass2` must yield the same
-    /// record stream (re-build the workload for each).
+    /// Run the two-pass pipeline over `cols`.
     ///
     /// # Panics
     ///
-    /// Panics if `bank_entries` is zero.
-    pub fn run(
-        &self,
-        pass1: impl Iterator<Item = BranchRecord>,
-        pass2: impl Iterator<Item = BranchRecord>,
-    ) -> Extrapolation {
-        Self::run_sizes(self.history_bits, &[self.bank_entries], pass1, pass2)[0]
+    /// Panics if `bank_entries` is zero or `history_bits` exceeds 64.
+    pub fn run(&self, cols: &TraceColumns) -> Extrapolation {
+        Self::run_sizes(self.history_bits, &[self.bank_entries], cols)[0]
     }
 
     /// [`Extrapolator::run`] for every bank size in `bank_entries` at
     /// once. The bias pass, the last-use-distance walk and the 1-bit
-    /// unaliased predictor do not depend on the bank size, so one walk
+    /// unaliased shadow do not depend on the bank size, so one walk
     /// serves every size, keeping a formula (3) sum per size. Entry `i`
     /// of the result is bit-identical to `run` with `bank_entries[i]`.
     ///
     /// # Panics
     ///
-    /// Panics if any bank size is zero.
+    /// Panics if any bank size is zero or `history_bits` exceeds 64.
     pub fn run_sizes(
         history_bits: u32,
         bank_entries: &[u64],
-        pass1: impl Iterator<Item = BranchRecord>,
-        pass2: impl Iterator<Item = BranchRecord>,
+        cols: &TraceColumns,
     ) -> Vec<Extrapolation> {
         assert!(
             bank_entries.iter().all(|&n| n > 0),
@@ -88,15 +81,12 @@ impl Extrapolator {
         );
 
         // Pass 1: bias over the entire trace.
-        let bias = BiasStats::new(history_bits).run(pass1);
-        let b = bias.static_bias_taken();
+        let b = BiasStats::measure(cols, history_bits).static_bias_taken();
 
         // Pass 2: last-use distances, overhead, and the unaliased 1-bit
         // base rate, in one walk.
-        let mut cursor = PairCursor::new(history_bits);
         let mut distances = LastUseDistance::new();
-        let mut ideal = Ideal::new(history_bits, CounterKind::OneBit)
-            .expect("history length validated by caller");
+        let mut shadow = Shadow::new(CounterKind::OneBit);
         let sizes = bank_entries.len();
         let mut overhead_sums = vec![0.0f64; sizes];
         // First encounters: the paper applies formula (3) with p = 1.
@@ -108,40 +98,30 @@ impl Extrapolator {
         // small and every term is the same expression, added in the same
         // order, as computing it per reference.
         let mut terms: Vec<f64> = Vec::new();
-        let mut unaliased_misses = 0u64;
-        let mut references = 0u64;
 
-        for record in pass2 {
-            if record.kind == BranchKind::Conditional {
-                references += 1;
-                match distances.observe(cursor.pair(record.pc)) {
-                    Some(d) => {
-                        let row = d as usize * sizes;
-                        if terms.len() < row + sizes {
-                            terms.resize(row + sizes, f64::NAN);
-                        }
-                        let row = &mut terms[row..row + sizes];
-                        if row.first().is_some_and(|t| t.is_nan()) {
-                            for (term, &n) in row.iter_mut().zip(bank_entries) {
-                                *term = p_sk(aliasing_probability(d, n), b);
-                            }
-                        }
-                        for (sum, term) in overhead_sums.iter_mut().zip(row) {
-                            *sum += *term;
+        walk_ids(cols, history_bits, |r, pair| {
+            match distances.observe(pair.id) {
+                Some(d) => {
+                    let row = d as usize * sizes;
+                    if terms.len() < row + sizes {
+                        terms.resize(row + sizes, f64::NAN);
+                    }
+                    let row = &mut terms[row..row + sizes];
+                    if row.first().is_some_and(|t| t.is_nan()) {
+                        for (term, &n) in row.iter_mut().zip(bank_entries) {
+                            *term = p_sk(aliasing_probability(d, n), b);
                         }
                     }
-                    None => overhead_sums.iter_mut().for_each(|sum| *sum += first_use),
+                    for (sum, term) in overhead_sums.iter_mut().zip(row) {
+                        *sum += *term;
+                    }
                 }
-                let outcome = Outcome::from(record.taken);
-                let prediction = ideal.step(record.pc, outcome);
-                if !prediction.novel && prediction.outcome != outcome {
-                    unaliased_misses += 1;
-                }
-            } else {
-                ideal.record_unconditional(record.pc);
+                None => overhead_sums.iter_mut().for_each(|sum| *sum += first_use),
             }
-            cursor.advance(&record);
-        }
+            shadow.step(pair, Outcome::from(r.taken));
+        });
+        let unaliased_misses = shadow.misses();
+        let references = cols.conditional_count();
 
         let refs_f = references.max(1) as f64;
         let unaliased_rate = unaliased_misses as f64 / refs_f;
@@ -164,18 +144,22 @@ impl Extrapolator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpred_aliasing::cursor::PairCursor;
+    use bpred_aliasing::pairs::PairIds;
+    use bpred_core::ideal::Ideal;
+    use bpred_core::predictor::BranchPredictor;
     use bpred_trace::prelude::*;
 
+    fn trace(bench: IbsBenchmark, len: u64) -> TraceColumns {
+        bench.spec().build().take_conditionals(len).collect()
+    }
+
     fn run(bank_entries: u64, len: u64) -> Extrapolation {
-        let spec = IbsBenchmark::Verilog.spec();
         Extrapolator {
             bank_entries,
             history_bits: 4,
         }
-        .run(
-            spec.build().take_conditionals(len),
-            spec.build().take_conditionals(len),
-        )
+        .run(&trace(IbsBenchmark::Verilog, len))
     }
 
     #[test]
@@ -214,20 +198,22 @@ mod tests {
     }
 
     /// The pipeline for one bank size with formula (3) evaluated afresh
-    /// for every reference: the oracle for the memoized terms.
+    /// for every reference, over the record stream with its own pair
+    /// cursor and the `Ideal` predictor: the oracle for the memoized terms
+    /// and the shared pair walk.
     fn reference(bank_entries: u64, history_bits: u32, len: u64) -> Extrapolation {
         let spec = IbsBenchmark::Groff.spec();
-        let b = BiasStats::new(history_bits)
-            .run(spec.build().take_conditionals(len))
-            .static_bias_taken();
+        let b =
+            BiasStats::measure(&trace(IbsBenchmark::Groff, len), history_bits).static_bias_taken();
         let mut cursor = PairCursor::new(history_bits);
+        let mut ids = PairIds::new();
         let mut distances = LastUseDistance::new();
         let mut ideal = Ideal::new(history_bits, CounterKind::OneBit).unwrap();
         let (mut sum, mut unaliased_misses, mut references) = (0.0f64, 0u64, 0u64);
         for record in spec.build().take_conditionals(len) {
             if record.kind == BranchKind::Conditional {
                 references += 1;
-                sum += match distances.observe(cursor.pair(record.pc)) {
+                sum += match distances.observe(ids.intern(cursor.pair(record.pc)).id) {
                     Some(d) => p_sk(aliasing_probability(d, bank_entries), b),
                     None => p_sk(1.0, b),
                 };
@@ -253,29 +239,21 @@ mod tests {
 
     #[test]
     fn run_sizes_is_bit_identical_to_run_per_size() {
-        let spec = IbsBenchmark::Groff.spec();
+        let cols = trace(IbsBenchmark::Groff, 20_000);
         for (history_bits, sizes) in [
             (4, vec![64u64, 1024, 8192]),
             // Nine sizes, including the 1-entry bank (formula (1)'s
             // `N = 1` branch).
             (12, vec![1u64, 2, 16, 64, 256, 1024, 4096, 8192, 16384]),
         ] {
-            let batched = Extrapolator::run_sizes(
-                history_bits,
-                &sizes,
-                spec.build().take_conditionals(20_000),
-                spec.build().take_conditionals(20_000),
-            );
+            let batched = Extrapolator::run_sizes(history_bits, &sizes, &cols);
             for (&bank_entries, got) in sizes.iter().zip(&batched) {
                 let want = reference(bank_entries, history_bits, 20_000);
                 let single = Extrapolator {
                     bank_entries,
                     history_bits,
                 }
-                .run(
-                    spec.build().take_conditionals(20_000),
-                    spec.build().take_conditionals(20_000),
-                );
+                .run(&cols);
                 assert_eq!(bits(&single), bits(&want), "run, bank size {bank_entries}");
                 assert_eq!(
                     bits(got),

@@ -9,6 +9,7 @@ use bpred_core::ideal::Ideal;
 use bpred_core::index::IndexFunction;
 use bpred_core::predictor::{BranchPredictor, Outcome};
 use bpred_trace::record::BranchKind;
+use bpred_trace::soa::TraceColumns;
 use bpred_trace::stream::TraceSourceExt;
 use bpred_trace::workload::IbsBenchmark;
 
@@ -34,8 +35,9 @@ fn main() {
         "static"
     );
     for b in IbsBenchmark::all() {
-        let mut ss4 = SubstreamStats::new(4);
-        let mut ss12 = SubstreamStats::new(12);
+        let cols: TraceColumns = b.spec().build().take_conditionals(len).collect();
+        let ss4 = SubstreamStats::measure(&cols, 4);
+        let ss12 = SubstreamStats::measure(&cols, 12);
         let mut id4 = Ideal::new(4, CounterKind::TwoBit).unwrap();
         let mut id12 = Ideal::new(12, CounterKind::TwoBit).unwrap();
         let mut cur = PairCursor::new(4);
@@ -47,7 +49,7 @@ fn main() {
         let mut dm16k = TaggedDirectMapped::new(14, IndexFunction::Gshare);
         let (mut n, mut m4, mut m12) = (0u64, 0u64, 0u64);
         let mut statics = std::collections::HashSet::new();
-        for r in b.spec().build().take_conditionals(len) {
+        for r in cols.records() {
             if r.kind == BranchKind::Conditional {
                 n += 1;
                 statics.insert(r.pc);
@@ -72,8 +74,6 @@ fn main() {
                 id4.record_unconditional(r.pc);
                 id12.record_unconditional(r.pc);
             }
-            ss4.observe(&r);
-            ss12.observe(&r);
             cur.advance(&r);
         }
         let nf = n as f64;

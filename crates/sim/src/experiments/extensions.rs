@@ -23,8 +23,8 @@
 //!   workloads (seed robustness).
 
 use super::helpers::{
-    bench_sweep_table, columns, history_labels, parsed, sim_pct, simulate, size_labels,
-    spec_sweep_table,
+    bench_column_table, bench_column_tables, bench_sweep_table, columns, history_labels, parsed,
+    sim_pct, simulate, size_labels, spec_sweep_table,
 };
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::engine::{Mode, NovelPolicy};
@@ -32,6 +32,7 @@ use crate::report::{pct, Table};
 use crate::runner::parallel_map;
 use bpred_aliasing::batch::fa_pass;
 use bpred_aliasing::nature;
+use bpred_aliasing::pairs::walk_ids;
 use bpred_core::counter::CounterKind;
 use bpred_core::index::IndexFunction;
 use bpred_core::spec::parse_spec;
@@ -380,20 +381,13 @@ const ASSOC_CAPACITY_LOG2: u32 = 12;
 const ASSOC_HISTORY: u32 = 4;
 
 pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
-    // Fixed total capacity, sweep associativity; the last row is fully
-    // associative.
-    const WAYS: [u32; 6] = [0, 1, 2, 3, 4, ASSOC_CAPACITY_LOG2];
-    let labels: Vec<String> = WAYS
-        .iter()
-        .map(|&w| {
-            if w == ASSOC_CAPACITY_LOG2 {
-                "full".to_string()
-            } else {
-                (1u32 << w).to_string()
-            }
-        })
-        .collect();
-    let table = bench_sweep_table(
+    // Fixed total capacity, sweep associativity (one pair walk per
+    // benchmark serves every set-associative row); the last row is fully
+    // associative, from the FA pass.
+    const WAYS_LOG2: [u32; 5] = [0, 1, 2, 3, 4];
+    let mut labels: Vec<String> = WAYS_LOG2.iter().map(|w| (1u32 << w).to_string()).collect();
+    labels.push("full".into());
+    let table = bench_column_table(
         format!(
             "Miss % of a {}-pair identity-tagged table vs associativity (gshare set \
              index, {ASSOC_HISTORY}-bit history)",
@@ -402,18 +396,16 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
         "ways",
         &labels,
         opts,
-        |row, bench| {
+        |bench| {
             let cols = columns(bench, opts.len_for(bench));
-            let (misses, references) = if WAYS[row] == ASSOC_CAPACITY_LOG2 {
-                assoc_full(&cols)
-            } else {
-                assoc_ways(&cols, WAYS[row])
-            };
-            if references == 0 {
-                0.0
-            } else {
-                100.0 * (misses as f64 / references as f64)
-            }
+            // With no references every count is 0, and so is every row.
+            let references = cols.conditional_count().max(1) as f64;
+            let mut misses = assoc_ways(&cols, &WAYS_LOG2);
+            misses.push(assoc_full(&cols).0);
+            misses
+                .into_iter()
+                .map(|m| 100.0 * (m as f64 / references))
+                .collect()
         },
     );
     ExperimentOutput {
@@ -425,25 +417,21 @@ pub(super) fn assoc(opts: &ExperimentOpts) -> ExperimentOutput {
     }
 }
 
-/// Misses and references of ext-assoc's `2^ways_log2`-way table.
-fn assoc_ways(cols: &TraceColumns, ways_log2: u32) -> (u64, u64) {
-    use bpred_aliasing::cursor::PairCursor;
+/// Misses of ext-assoc's `2^w`-way table for each `w` in `ways_log2`, from
+/// one pair walk over `cols`.
+fn assoc_ways(cols: &TraceColumns, ways_log2: &[u32]) -> Vec<u64> {
     use bpred_aliasing::set_assoc::TaggedSetAssociative;
-    use bpred_trace::record::BranchKind;
 
-    let mut table = TaggedSetAssociative::new(
-        ASSOC_CAPACITY_LOG2 - ways_log2,
-        1 << ways_log2,
-        IndexFunction::Gshare,
-    );
-    let mut cursor = PairCursor::new(ASSOC_HISTORY);
-    for r in cols.records() {
-        if r.kind == BranchKind::Conditional {
-            table.access(&cursor.vector(r.pc));
+    let mut tables: Vec<TaggedSetAssociative> = ways_log2
+        .iter()
+        .map(|&w| TaggedSetAssociative::new(ASSOC_CAPACITY_LOG2 - w, 1 << w, IndexFunction::Gshare))
+        .collect();
+    walk_ids(cols, ASSOC_HISTORY, |r, pair| {
+        for table in &mut tables {
+            table.access(&r.vector, pair);
         }
-        cursor.advance(&r);
-    }
-    (table.misses(), table.accesses())
+    });
+    tables.iter().map(|t| t.misses()).collect()
 }
 
 /// Misses and references of ext-assoc's fully-associative row. A single
@@ -600,47 +588,35 @@ pub(super) fn confidence(opts: &ExperimentOpts) -> ExperimentOutput {
 pub(super) fn nature(opts: &ExperimentOpts) -> ExperimentOutput {
     const SIZES: std::ops::RangeInclusive<u32> = 8..=16;
     let ns: Vec<u32> = SIZES.collect();
-    // One walk per benchmark classifies every size (`per_bench[b][i]` is
-    // size `ns[i]`).
-    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-        nature::run_sizes(
-            &columns(bench, opts.len_for(bench)),
-            8,
-            IndexFunction::Gshare,
-            CounterKind::TwoBit,
-            &ns,
-        )
-    });
-
-    let mut columns = vec!["entries".to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut tables: Vec<Table> = [
-        "Destructive events per aliased reference % (gshare, h=8)",
-        "Constructive events per aliased reference % (gshare, h=8)",
-        "Net aliasing misprediction overhead % of all branches (gshare, h=8)",
-    ]
-    .into_iter()
-    .map(|t| Table::new(t, columns.clone()))
-    .collect();
-    for (i, &n) in ns.iter().enumerate() {
-        let row = || per_bench.iter().map(|sizes| &sizes[i]);
-        let label = (1u64 << n).to_string();
-        tables[0].push_row(
-            std::iter::once(label.clone())
-                .chain(row().map(|c| pct(100.0 * c.destructive_ratio())))
-                .collect(),
-        );
-        tables[1].push_row(
-            std::iter::once(label.clone())
-                .chain(row().map(|c| pct(100.0 * c.constructive_ratio())))
-                .collect(),
-        );
-        tables[2].push_row(
-            std::iter::once(label)
-                .chain(row().map(|c| pct(100.0 * c.net_overhead())))
-                .collect(),
-        );
-    }
+    let labels: Vec<String> = ns.iter().map(|n| (1u64 << n).to_string()).collect();
+    // One walk per benchmark classifies every size.
+    let tables = bench_column_tables(
+        &[
+            "Destructive events per aliased reference % (gshare, h=8)",
+            "Constructive events per aliased reference % (gshare, h=8)",
+            "Net aliasing misprediction overhead % of all branches (gshare, h=8)",
+        ],
+        "entries",
+        &labels,
+        opts,
+        |bench| {
+            let counts = nature::run_sizes(
+                &columns(bench, opts.len_for(bench)),
+                8,
+                IndexFunction::Gshare,
+                CounterKind::TwoBit,
+                &ns,
+            );
+            let each = |metric: fn(&nature::NatureCounts) -> f64| {
+                counts.iter().map(|c| 100.0 * metric(c)).collect()
+            };
+            vec![
+                each(nature::NatureCounts::destructive_ratio),
+                each(nature::NatureCounts::constructive_ratio),
+                each(nature::NatureCounts::net_overhead),
+            ]
+        },
+    );
     ExperimentOutput {
         id: "ext-nature",
         title: "Extension — destructive vs constructive aliasing (section 1's taxonomy; \
@@ -812,28 +788,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn assoc_full_row_equals_a_single_set_table() {
+    /// Misses and references of a `2^ways_log2`-way ext-assoc table
+    /// driven alone over the record stream, with its own pair cursor.
+    fn assoc_alone(cols: &TraceColumns, ways_log2: u32) -> (u64, u64) {
         use bpred_aliasing::cursor::PairCursor;
+        use bpred_aliasing::pairs::PairIds;
         use bpred_aliasing::set_assoc::TaggedSetAssociative;
         use bpred_trace::record::BranchKind;
 
+        let mut table = TaggedSetAssociative::new(
+            ASSOC_CAPACITY_LOG2 - ways_log2,
+            1 << ways_log2,
+            IndexFunction::Gshare,
+        );
+        let mut cursor = PairCursor::new(ASSOC_HISTORY);
+        let mut ids = PairIds::new();
+        for r in cols.records() {
+            if r.kind == BranchKind::Conditional {
+                let v = cursor.vector(r.pc);
+                table.access(&v, ids.intern(v.pair()));
+            }
+            cursor.advance(&r);
+        }
+        (table.misses(), table.accesses())
+    }
+
+    #[test]
+    fn assoc_full_row_equals_a_single_set_table() {
         for bench in IbsBenchmark::all() {
             let cols = columns(bench, 8_000);
-            let mut table =
-                TaggedSetAssociative::new(0, 1 << ASSOC_CAPACITY_LOG2, IndexFunction::Gshare);
-            let mut cursor = PairCursor::new(ASSOC_HISTORY);
-            for r in cols.records() {
-                if r.kind == BranchKind::Conditional {
-                    table.access(&cursor.vector(r.pc));
-                }
-                cursor.advance(&r);
-            }
             assert_eq!(
                 assoc_full(&cols),
-                (table.misses(), table.accesses()),
+                assoc_alone(&cols, ASSOC_CAPACITY_LOG2),
                 "{bench}"
             );
+        }
+    }
+
+    #[test]
+    fn assoc_ways_share_one_walk() {
+        let ways = [0, 1, 2, 3, 4];
+        for bench in IbsBenchmark::all() {
+            let cols = columns(bench, 8_000);
+            let alone: Vec<u64> = ways.iter().map(|&w| assoc_alone(&cols, w).0).collect();
+            assert_eq!(assoc_ways(&cols, &ways), alone, "{bench}");
         }
     }
 

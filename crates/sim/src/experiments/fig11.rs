@@ -5,10 +5,8 @@
 //! The model is expected to slightly *over*-estimate the measured rate
 //! (constructive aliasing is not modeled).
 
-use super::helpers::{columns, sim_pct};
+use super::helpers::{bench_column_tables, columns, sim_pct};
 use super::{ExperimentOpts, ExperimentOutput};
-use crate::report::{pct, Table};
-use crate::runner::parallel_map;
 use bpred_model::extrapolate::Extrapolator;
 use bpred_trace::workload::IbsBenchmark;
 
@@ -23,9 +21,7 @@ fn spec(bank_log2: u32) -> String {
 /// bank size of `banks_log2`: one model walk serves all sizes.
 fn measure(bench: IbsBenchmark, banks_log2: &[u32], len: u64) -> Vec<(f64, f64)> {
     let entries: Vec<u64> = banks_log2.iter().map(|&n| 1 << n).collect();
-    let trace = columns(bench, len);
-    let extrapolations =
-        Extrapolator::run_sizes(HISTORY, &entries, trace.records(), trace.records());
+    let extrapolations = Extrapolator::run_sizes(HISTORY, &entries, &columns(bench, len));
     banks_log2
         .iter()
         .zip(extrapolations)
@@ -35,37 +31,27 @@ fn measure(bench: IbsBenchmark, banks_log2: &[u32], len: u64) -> Vec<(f64, f64)>
 
 pub(super) fn run(opts: &ExperimentOpts) -> ExperimentOutput {
     let banks: Vec<u32> = BANK_LOG2.collect();
-    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-        measure(bench, &banks, opts.len_for(bench))
-    });
-
-    let mut columns = vec!["bank entries".to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut extrapolated = Table::new(
-        "Extrapolated mispredict % (model: 1-bit, total update, h=4)",
-        columns.clone(),
+    let labels: Vec<String> = banks.iter().map(|n| format!("3x{}", 1u64 << n)).collect();
+    let tables = bench_column_tables(
+        &[
+            "Extrapolated mispredict % (model: 1-bit, total update, h=4)",
+            "Measured mispredict % (simulated 3-bank gskew: 1-bit, total update, h=4)",
+        ],
+        "bank entries",
+        &labels,
+        opts,
+        |bench| {
+            let cells = measure(bench, &banks, opts.len_for(bench));
+            vec![
+                cells.iter().map(|c| c.0).collect(),
+                cells.iter().map(|c| c.1).collect(),
+            ]
+        },
     );
-    let mut measured = Table::new(
-        "Measured mispredict % (simulated 3-bank gskew: 1-bit, total update, h=4)",
-        columns,
-    );
-    for (i, &n) in banks.iter().enumerate() {
-        let label = format!("3x{}", 1u64 << n);
-        extrapolated.push_row(
-            std::iter::once(label.clone())
-                .chain(per_bench.iter().map(|cells| pct(cells[i].0)))
-                .collect(),
-        );
-        measured.push_row(
-            std::iter::once(label)
-                .chain(per_bench.iter().map(|cells| pct(cells[i].1)))
-                .collect(),
-        );
-    }
     ExperimentOutput {
         id: "fig11",
         title: "Figure 11 — extrapolated vs measured gskew misprediction".into(),
-        tables: vec![extrapolated, measured],
+        tables,
     }
 }
 

@@ -179,10 +179,6 @@ pub fn spec_sweep_table_with(
     spec_for_row: impl Fn(usize) -> String + Sync,
     policy: NovelPolicy,
 ) -> Table {
-    let mut columns = vec![first_column.to_string()];
-    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
-    let mut table = Table::new(title, columns);
-
     let rows = row_labels.len();
     let seed = workload_seed();
     // One task per benchmark: the per-benchmark trace is the shared
@@ -192,45 +188,82 @@ pub fn spec_sweep_table_with(
     // the leftover worker budget.
     let inner_threads = (opts.threads / IbsBenchmark::all().len()).max(1);
     let specs: Vec<PredictorSpec> = (0..rows).map(|row| parsed(&spec_for_row(row))).collect();
-    let per_bench: Vec<Vec<f64>> =
-        parallel_map(IbsBenchmark::all().to_vec(), opts.threads, |bench| {
-            let len = opts.len_for(bench);
-            let keys: Vec<(CellKey, u64)> = specs
-                .iter()
-                .map(|spec| resume::cell(spec, bench, len, seed, policy))
-                .collect();
-            let mut results: Vec<Option<RunResult>> = keys
-                .iter()
-                .map(|&(_, fingerprint)| resume::lookup(fingerprint))
-                .collect();
-            let missing: Vec<usize> = (0..rows).filter(|&row| results[row].is_none()).collect();
-            if !missing.is_empty() {
-                let missing_specs: Vec<PredictorSpec> =
-                    missing.iter().map(|&row| specs[row].clone()).collect();
-                let start = Instant::now();
-                let cols = cache::columns_seeded(bench, len, seed);
-                let simulated = kernel::run_parsed(&missing_specs, &cols, policy, inner_threads)
-                    .unwrap_or_else(|e| panic!("bad spec in sweep: {e}"));
-                // The trace walk is shared; bill it evenly per cell.
-                let per_cell_ms = start.elapsed().as_secs_f64() * 1e3 / missing.len() as f64;
-                for (&row, result) in missing.iter().zip(simulated) {
-                    let (key, fingerprint) = keys[row].clone();
-                    resume::record(key, fingerprint, result, per_cell_ms);
-                    results[row] = Some(result);
-                }
+    bench_column_table(title, first_column, row_labels, opts, |bench| {
+        let len = opts.len_for(bench);
+        let keys: Vec<(CellKey, u64)> = specs
+            .iter()
+            .map(|spec| resume::cell(spec, bench, len, seed, policy))
+            .collect();
+        let mut results: Vec<Option<RunResult>> = keys
+            .iter()
+            .map(|&(_, fingerprint)| resume::lookup(fingerprint))
+            .collect();
+        let missing: Vec<usize> = (0..rows).filter(|&row| results[row].is_none()).collect();
+        if !missing.is_empty() {
+            let missing_specs: Vec<PredictorSpec> =
+                missing.iter().map(|&row| specs[row].clone()).collect();
+            let start = Instant::now();
+            let cols = cache::columns_seeded(bench, len, seed);
+            let simulated = kernel::run_parsed(&missing_specs, &cols, policy, inner_threads)
+                .unwrap_or_else(|e| panic!("bad spec in sweep: {e}"));
+            // The trace walk is shared; bill it evenly per cell.
+            let per_cell_ms = start.elapsed().as_secs_f64() * 1e3 / missing.len() as f64;
+            for (&row, result) in missing.iter().zip(simulated) {
+                let (key, fingerprint) = keys[row].clone();
+                resume::record(key, fingerprint, result, per_cell_ms);
+                results[row] = Some(result);
             }
-            results
-                .into_iter()
-                .map(|r| r.expect("every row resolved").mispredict_pct())
-                .collect()
-        });
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every row resolved").mispredict_pct())
+            .collect()
+    })
+}
 
-    for (row, label) in row_labels.iter().enumerate() {
-        let mut cells = vec![label.clone()];
-        cells.extend(per_bench.iter().map(|col| pct(col[row])));
-        table.push_row(cells);
+/// Build a benchmark-per-column table from one call of `column` per
+/// benchmark, in parallel: it returns the benchmark's percentage for
+/// every row, for measurements where one pass over a trace serves every
+/// row.
+pub fn bench_column_table(
+    title: impl Into<String>,
+    first_column: &str,
+    row_labels: &[String],
+    opts: &ExperimentOpts,
+    column: impl Fn(IbsBenchmark) -> Vec<f64> + Sync,
+) -> Table {
+    let title = title.into();
+    bench_column_tables(&[&title], first_column, row_labels, opts, |bench| {
+        vec![column(bench)]
+    })
+    .remove(0)
+}
+
+/// [`bench_column_table`] for several tables over the same rows:
+/// `column(bench)[t][row]` is the benchmark's percentage at `row` of the
+/// table titled `titles[t]`.
+pub fn bench_column_tables(
+    titles: &[&str],
+    first_column: &str,
+    row_labels: &[String],
+    opts: &ExperimentOpts,
+    column: impl Fn(IbsBenchmark) -> Vec<Vec<f64>> + Sync,
+) -> Vec<Table> {
+    let mut columns = vec![first_column.to_string()];
+    columns.extend(IbsBenchmark::all().iter().map(|b| b.name().to_string()));
+    let per_bench = parallel_map(IbsBenchmark::all().to_vec(), opts.threads, column);
+    let mut tables: Vec<Table> = titles
+        .iter()
+        .map(|&title| Table::new(title, columns.clone()))
+        .collect();
+    for (t, table) in tables.iter_mut().enumerate() {
+        for (row, label) in row_labels.iter().enumerate() {
+            let mut cells = vec![label.clone()];
+            cells.extend(per_bench.iter().map(|col| pct(col[t][row])));
+            table.push_row(cells);
+        }
     }
-    table
+    tables
 }
 
 /// Classify a whole three-C grid over one benchmark trace, batched: one

@@ -9,55 +9,38 @@ use super::helpers::columns;
 use super::{ExperimentOpts, ExperimentOutput};
 use crate::report::{pct, ratio, Table};
 use crate::runner::parallel_map;
+use bpred_aliasing::pairs::{walk_ids, Shadow};
 use bpred_aliasing::substream::SubstreamStats;
 use bpred_core::counter::CounterKind;
-use bpred_core::ideal::Ideal;
-use bpred_core::predictor::{BranchPredictor, Outcome};
-use bpred_trace::record::BranchKind;
+use bpred_core::predictor::Outcome;
 use bpred_trace::workload::IbsBenchmark;
 
 /// One benchmark's Table 2 row for one history length.
 struct Row {
     bench: IbsBenchmark,
-    substream_ratio: f64,
-    compulsory_pct: f64,
+    substreams: SubstreamStats,
     one_bit_pct: f64,
     two_bit_pct: f64,
 }
 
-/// Single pass computing all four quantities.
+/// One pair walk computing all four quantities: the substream counts and
+/// a 1-bit and a 2-bit unaliased shadow.
 fn measure(bench: IbsBenchmark, history_bits: u32, len: u64) -> Row {
-    let mut substreams = SubstreamStats::new(history_bits);
-    let mut one = Ideal::new(history_bits, CounterKind::OneBit).expect("valid history");
-    let mut two = Ideal::new(history_bits, CounterKind::TwoBit).expect("valid history");
-    let mut conditional = 0u64;
-    let mut miss1 = 0u64;
-    let mut miss2 = 0u64;
-    for record in columns(bench, len).records() {
-        if record.kind == BranchKind::Conditional {
-            conditional += 1;
-            let outcome = Outcome::from(record.taken);
-            let p1 = one.step(record.pc, outcome);
-            if !p1.novel && p1.outcome != outcome {
-                miss1 += 1;
-            }
-            let p2 = two.step(record.pc, outcome);
-            if !p2.novel && p2.outcome != outcome {
-                miss2 += 1;
-            }
-        } else {
-            one.record_unconditional(record.pc);
-            two.record_unconditional(record.pc);
-        }
-        substreams.observe(&record);
-    }
-    let denom = conditional.max(1) as f64;
+    let mut substreams = SubstreamStats::default();
+    let mut one = Shadow::new(CounterKind::OneBit);
+    let mut two = Shadow::new(CounterKind::TwoBit);
+    walk_ids(&columns(bench, len), history_bits, |r, pair| {
+        substreams.observe(&r, pair);
+        let outcome = Outcome::from(r.taken);
+        one.step(pair, outcome);
+        two.step(pair, outcome);
+    });
+    let denom = substreams.dynamic_branches().max(1) as f64;
     Row {
         bench,
-        substream_ratio: substreams.substream_ratio(),
-        compulsory_pct: 100.0 * substreams.compulsory_ratio(),
-        one_bit_pct: 100.0 * miss1 as f64 / denom,
-        two_bit_pct: 100.0 * miss2 as f64 / denom,
+        one_bit_pct: 100.0 * one.misses() as f64 / denom,
+        two_bit_pct: 100.0 * two.misses() as f64 / denom,
+        substreams,
     }
 }
 
@@ -78,8 +61,8 @@ fn table_for(history_bits: u32, opts: &ExperimentOpts) -> Table {
     for row in rows {
         table.push_row(vec![
             row.bench.name().to_string(),
-            ratio(row.substream_ratio),
-            pct(row.compulsory_pct),
+            ratio(row.substreams.substream_ratio()),
+            pct(100.0 * row.substreams.compulsory_ratio()),
             pct(row.one_bit_pct),
             pct(row.two_bit_pct),
         ]);
@@ -118,8 +101,46 @@ mod tests {
         let short = measure(IbsBenchmark::Groff, 4, 80_000);
         let long = measure(IbsBenchmark::Groff, 12, 80_000);
         assert!(long.two_bit_pct < short.two_bit_pct);
-        assert!(long.substream_ratio > short.substream_ratio);
-        assert!(long.compulsory_pct > short.compulsory_pct);
+        assert!(long.substreams.substream_ratio() > short.substreams.substream_ratio());
+        let compulsory_pct = |row: &Row| 100.0 * row.substreams.compulsory_ratio();
+        assert!(compulsory_pct(&long) > compulsory_pct(&short));
+    }
+
+    /// Four instruments each count the distinct `(address, history)`
+    /// pairs of a trace in their own way — compulsory misses of the FA
+    /// pass, compulsory references of the nature classifier, Table 2's
+    /// substreams and the `Ideal` predictor's novel pairs — so the counts
+    /// must agree.
+    #[test]
+    fn every_instrument_counts_the_same_distinct_pairs() {
+        use crate::engine::{simulate, Mode, NovelPolicy};
+        use bpred_aliasing::{batch::fa_pass, nature};
+        use bpred_core::ideal::Ideal;
+        use bpred_core::index::IndexFunction;
+
+        let opts = ExperimentOpts::quick();
+        for bench in IbsBenchmark::all() {
+            let len = opts.len_for(bench);
+            let cols = columns(bench, len);
+            for h in [0u32, 4, 12] {
+                let fa = fa_pass(&cols, h, &[1]).cold_misses;
+                let compulsory =
+                    nature::run_sizes(&cols, h, IndexFunction::Gshare, CounterKind::TwoBit, &[6])
+                        [0]
+                    .compulsory;
+                let substreams = measure(bench, h, len).substreams.distinct_pairs();
+                let mut ideal = Ideal::new(h, CounterKind::TwoBit).unwrap();
+                simulate(&mut ideal, &cols, Mode::Plain, NovelPolicy::Count);
+                let counts = [fa, compulsory, substreams, ideal.distinct_pairs()];
+                assert!(counts[0] > 0, "{bench} h={h}");
+                assert!(
+                    counts.iter().all(|&c| c == counts[0]),
+                    "{bench} h={h}: fa {fa}, nature {compulsory}, table2 {substreams}, \
+                     ideal {}",
+                    counts[3]
+                );
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,8 @@ struct Context {
     /// [`configure`]/[`deconfigure`], keyed by fingerprint.
     memory: HashMap<u64, RunResult, BuildHasherDefault<PairHasher>>,
     in_run: InRunStats,
+    /// The first store write that failed since the run started.
+    write_error: Option<String>,
 }
 
 static CONTEXT: Mutex<Context> = Mutex::new(Context {
@@ -70,6 +72,7 @@ static CONTEXT: Mutex<Context> = Mutex::new(Context {
         cells_simulated: 0,
         cells_reused: 0,
     },
+    write_error: None,
 });
 static CELLS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 static CELLS_SIMULATED: AtomicU64 = AtomicU64::new(0);
@@ -88,6 +91,7 @@ fn start_run(store: Option<Attached>) -> Option<ResultsStore> {
     let mut ctx = context();
     ctx.memory.clear();
     ctx.in_run = InRunStats::default();
+    ctx.write_error = None;
     std::mem::replace(&mut ctx.store, store).map(|attached| attached.store)
 }
 
@@ -273,10 +277,12 @@ pub fn lookup(fingerprint: u64) -> Option<RunResult> {
 
 /// Account one simulated cell: it joins the in-run tier and, when a
 /// store is attached with saving enabled, is persisted. A write failure
-/// is reported to stderr but never fails the sweep — the simulation
-/// result is already in hand.
+/// does not stop the sweep — the simulation result is already in hand —
+/// but the first one is kept for [`take_write_error`], so the command
+/// can fail once it is done.
 pub fn record(key: CellKey, fingerprint: u64, result: RunResult, elapsed_ms: f64) {
-    let mut ctx = context();
+    let mut guard = context();
+    let ctx = &mut *guard;
     ctx.in_run.cells_simulated += 1;
     ctx.memory.insert(fingerprint, result);
     let Some(attached) = ctx.store.as_mut() else {
@@ -300,8 +306,17 @@ pub fn record(key: CellKey, fingerprint: u64, result: RunResult, elapsed_ms: f64
         Ok(()) => {
             RECORDS_SAVED.fetch_add(1, Ordering::Relaxed);
         }
-        Err(e) => eprintln!("bpsim: results store write failed: {e}"),
+        Err(e) => {
+            ctx.write_error
+                .get_or_insert(format!("results store write failed: {e}"));
+        }
     }
+}
+
+/// The first store write that failed since the run started, if any;
+/// taking it clears it.
+pub fn take_write_error() -> Option<String> {
+    context().write_error.take()
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 
 use gskew::aliasing::bias::BiasStats;
 use gskew::aliasing::distance::{DistanceHistogram, LastUseDistance};
+use gskew::aliasing::offenders::OffenderAnalysis;
+use gskew::aliasing::pairs::walk_ids;
 use gskew::aliasing::substream::SubstreamStats;
 use gskew::aliasing::three_c::ThreeCClassifier;
 use gskew::core::index::IndexFunction;
@@ -23,6 +25,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(400_000);
     let history = 4;
+    let cols: TraceColumns = bench.spec().build().take_conditionals(len).collect();
 
     println!("workload {bench}, {len} conditional branches, {history}-bit history\n");
 
@@ -32,8 +35,8 @@ fn main() {
         "entries", "total %", "compulsory %", "capacity %", "conflict %"
     );
     for n in [8u32, 10, 12, 14, 16] {
-        let breakdown = ThreeCClassifier::new(n, history, IndexFunction::Gshare)
-            .run(bench.spec().build().take_conditionals(len));
+        let breakdown =
+            ThreeCClassifier::new(n, history, IndexFunction::Gshare).run(cols.records());
         println!(
             "{:>8} {:>9.3} {:>11.3} {:>10.3} {:>10.3}",
             1u64 << n,
@@ -45,8 +48,8 @@ fn main() {
     }
 
     // --- substream and bias statistics ----------------------------------
-    let substreams = SubstreamStats::new(history).run(bench.spec().build().take_conditionals(len));
-    let bias = BiasStats::new(history).run(bench.spec().build().take_conditionals(len));
+    let substreams = SubstreamStats::measure(&cols, history);
+    let bias = BiasStats::measure(&cols, history);
     println!(
         "\ndistinct addresses:        {}",
         substreams.distinct_addresses()
@@ -67,9 +70,7 @@ fn main() {
     );
 
     // --- top interfering branch pairs ------------------------------------
-    let offenders =
-        gskew::aliasing::offenders::OffenderAnalysis::new(12, history, IndexFunction::Gshare)
-            .run(bench.spec().build().take_conditionals(len));
+    let offenders = OffenderAnalysis::measure(&cols, 12, history, IndexFunction::Gshare);
     println!(
         "\nworst interfering branch pairs in a 4K gshare table \
          ({} aliasing events, {:.1}% self-aliasing):",
@@ -88,15 +89,11 @@ fn main() {
     );
 
     // --- last-use distance profile --------------------------------------
-    let mut cursor = gskew::aliasing::cursor::PairCursor::new(history);
     let mut distances = LastUseDistance::new();
     let mut histogram = DistanceHistogram::new();
-    for record in bench.spec().build().take_conditionals(len) {
-        if record.kind == BranchKind::Conditional {
-            histogram.record(distances.observe(cursor.pair(record.pc)));
-        }
-        cursor.advance(&record);
-    }
+    walk_ids(&cols, history, |_, pair| {
+        histogram.record(distances.observe(pair.id))
+    });
     println!("\nlast-use distance profile (hit ratio of an N-entry FA-LRU table):");
     for n in [256u64, 1024, 4096, 16384, 65536] {
         println!(

@@ -80,16 +80,16 @@ fn ideal_predictor_distinct_pairs_match_substream_stats() {
     let len = 20_000;
     let bench = IbsBenchmark::Gs;
     let mut ideal = Ideal::new(6, CounterKind::TwoBit).unwrap();
-    let mut stats = SubstreamStats::new(6);
-    for r in bench.spec().build().take_conditionals(len) {
+    let records: Vec<_> = bench.spec().build().take_conditionals(len).collect();
+    for &r in &records {
         if r.kind == BranchKind::Conditional {
             ideal.predict(r.pc);
             ideal.update(r.pc, Outcome::from(r.taken));
         } else {
             ideal.record_unconditional(r.pc);
         }
-        stats.observe(&r);
     }
+    let stats = SubstreamStats::measure(&TraceColumns::from_records(&records), 6);
     assert_eq!(ideal.distinct_pairs(), stats.distinct_pairs());
 }
 
@@ -138,18 +138,20 @@ fn fa_lru_misses_equal_stack_distance_prediction() {
     use gskew::aliasing::cursor::PairCursor;
     use gskew::aliasing::distance::LastUseDistance;
     use gskew::aliasing::fully_assoc::TaggedFullyAssociative;
+    use gskew::aliasing::pairs::PairIds;
 
     let len = 40_000;
     for capacity in [64usize, 512, 4096] {
         let mut fa = TaggedFullyAssociative::new(capacity);
         let mut distances = LastUseDistance::new();
         let mut cursor = PairCursor::new(4);
+        let mut ids = PairIds::new();
         let mut predicted_misses = 0u64;
         for r in IbsBenchmark::Gs.spec().build().take_conditionals(len) {
             if r.kind == BranchKind::Conditional {
                 let pair = cursor.pair(r.pc);
                 let fa_miss = fa.access(pair);
-                let sd_miss = match distances.observe(pair) {
+                let sd_miss = match distances.observe(ids.intern(pair).id) {
                     None => true, // first use
                     Some(d) => d >= capacity as u64,
                 };

@@ -139,7 +139,9 @@ proptest! {
             let naive = refs[..i].iter().rposition(|&q| q == pair).map(|j| {
                 refs[j + 1..i].iter().collect::<std::collections::HashSet<_>>().len() as u64
             });
-            prop_assert_eq!(fast.observe(pair), naive, "at reference {}", i);
+            // The tracker takes pair ids: number (a < 24, h < 4) one-to-one.
+            let id = (pair.0 * 4 + pair.1) as u32;
+            prop_assert_eq!(fast.observe(id), naive, "at reference {}", i);
         }
     }
 
