@@ -92,6 +92,7 @@ Predictor specs:
 
 /// Binary entry point: parse `std::env::args`, dispatch, report errors.
 pub fn cli_main() -> ExitCode {
+    quiet_on_broken_pipe();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(raw) {
         Ok(()) => ExitCode::SUCCESS,
@@ -100,6 +101,21 @@ pub fn cli_main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Make a closed stdout (`bpsim … | head -1`) end the process quietly
+/// with status 0. `print!` panics when its write fails, and a reader
+/// that has gone away is no error of the command's: every result it
+/// stored is already on disk.
+fn quiet_on_broken_pipe() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload_as_str().unwrap_or_default();
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
 }
 
 /// Run one command line (excluding the program name).
@@ -119,7 +135,7 @@ pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
     // A store write that failed during the command fails the command,
     // after it has printed its output.
     let write_error = resume::take_write_error();
-    // The store flushes its index on every put; nothing to close.
+    // Every put is already on disk as one appended line; nothing to close.
     resume::deconfigure();
     result.and(write_error.map_or(Ok(()), Err))
 }
@@ -717,6 +733,10 @@ fn cmd_results(args: &Args) -> Result<(), String> {
             println!("store:    {dir}");
             println!("records:  {}", store.len());
             println!("bytes:    {}", store.total_bytes());
+            println!("warnings: {}", store.warnings().len());
+            for warning in store.warnings() {
+                println!("  warning: {warning}");
+            }
             let mut by_experiment: Vec<(String, usize)> = Vec::new();
             for record in store.records() {
                 match by_experiment

@@ -2,6 +2,9 @@
 //! `bpsim` binary so exit codes, stdout bytes and the `--verbose`
 //! counters are all exercised exactly as CI and users see them.
 
+use bpred_results::json::Json;
+use bpred_results::record::{CellKey, ResultRecord};
+use bpred_results::store::ResultsStore;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -245,4 +248,138 @@ fn unknown_options_exit_1_with_a_hint() {
         assert_eq!(err.trim_end(), want, "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let store = temp_path("closed-stdout");
+    let _ = std::fs::remove_dir_all(&store);
+    for args in [
+        &["list"][..],
+        &["results", "stats", "--results-dir", store.to_str().unwrap()][..],
+        &["experiment", "table1", "--quick"][..],
+    ] {
+        // The read end is closed before the child starts, so its first
+        // write to stdout meets a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_bpsim"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn bpsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?} printed: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn gc_deletes_nothing_the_index_names_outside_the_store() {
+    let dir = temp_path("gc-traversal");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("store");
+    std::fs::create_dir_all(store.join("records")).unwrap();
+    let relative_victim = dir.join("victim.txt");
+    let absolute_victim = dir.join("absolute-victim.txt");
+    for victim in [&relative_victim, &absolute_victim] {
+        std::fs::write(victim, "keep me").unwrap();
+    }
+    // An index (in the per-record layout's schema) naming one file by a
+    // path that climbs out of the store and another by an absolute path.
+    let entry = |fp: &str, file: &str, stamp: f64| {
+        Json::obj(vec![
+            ("fingerprint", Json::Str(fp.into())),
+            ("file", Json::Str(file.into())),
+            ("bytes", Json::Num(10.0)),
+            ("stamp", Json::Num(stamp)),
+        ])
+    };
+    let index = Json::obj(vec![
+        ("version", Json::Num(1.0)),
+        ("next_stamp", Json::Num(2.0)),
+        (
+            "entries",
+            Json::Arr(vec![
+                entry("0000000000000001", "../victim.txt", 0.0),
+                entry("0000000000000002", absolute_victim.to_str().unwrap(), 1.0),
+            ]),
+        ),
+    ]);
+    std::fs::write(store.join("index.json"), index.to_string_compact()).unwrap();
+    let out = bpsim(&[
+        "results",
+        "gc",
+        "--budget",
+        "0",
+        "--results-dir",
+        store.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        relative_victim.exists(),
+        "gc deleted {}",
+        relative_victim.display()
+    );
+    assert!(
+        absolute_victim.exists(),
+        "gc deleted {}",
+        absolute_victim.display()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn results_stats_counts_a_torn_last_line() {
+    let dir = temp_path("torn-stats");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = ResultsStore::open(&dir).unwrap();
+    for n in [10, 11] {
+        let key = CellKey {
+            bench: "groff".into(),
+            spec: format!("gshare:n={n},h=4"),
+            len: 1000,
+            seed: 0,
+            policy: "count".into(),
+        };
+        let fingerprint = key.fingerprint("wl", "1");
+        store
+            .put(&ResultRecord {
+                experiment: "fig5".into(),
+                key,
+                fingerprint,
+                engine_version: "1".into(),
+                conditional: 1000,
+                mispredicted: n,
+                novel: 0,
+                elapsed_ms: 1.0,
+            })
+            .unwrap();
+    }
+    drop(store);
+    // Cut the second line short, as a write killed mid-line would.
+    let segment = std::fs::read_dir(dir.join("segments"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let bytes = std::fs::read(&segment).unwrap();
+    std::fs::write(&segment, &bytes[..bytes.len() - 20]).unwrap();
+    let out = bpsim(&["results", "stats", "--results-dir", dir.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("records:  1\n"), "{stdout}");
+    assert!(stdout.contains("warnings: 1\n"), "{stdout}");
+    assert!(stdout.contains(":2: torn last line skipped"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

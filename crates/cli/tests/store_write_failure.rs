@@ -1,19 +1,21 @@
 //! A command whose results-store writes fail exits with an error naming
 //! the path, instead of reporting success.
 //!
-//! `dispatch` runs in this process so the test can predict the store's
-//! temporary file names (they carry the process id); the resume context
-//! is process-global, so this binary holds ONE `#[test]`.
+//! `dispatch` runs in this process so the test can prepare the store
+//! before the command opens it; the resume context is process-global,
+//! so this binary holds ONE `#[test]`.
 
+#[cfg(unix)]
 #[test]
 fn a_failed_store_write_fails_the_command() {
     let root = std::env::temp_dir().join(format!("bpred-cli-write-fail-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    // The store rewrites its index through `index.tmp<pid>`: a directory
-    // in that place makes every index write fail, while opening the
-    // store still succeeds.
-    let blocker = root.join(format!("index.tmp{}", std::process::id()));
-    std::fs::create_dir_all(&blocker).unwrap();
+    std::fs::create_dir_all(&root).unwrap();
+    // A dangling symlink where the segments directory goes: opening the
+    // store lists no segments and succeeds, but creating the directory
+    // for this process's segment, and so every record write, fails.
+    let blocker = root.join("segments");
+    std::os::unix::fs::symlink(root.join("missing").join("segments"), &blocker).unwrap();
     let argv: Vec<String> = [
         "experiment",
         "fig5",

@@ -10,9 +10,9 @@
 //! * [`record`] — the canonical [`record::ResultRecord`] schema: cell
 //!   key (benchmark, spec, length, seed, policy), fingerprint, engine
 //!   version, misprediction counts and wall-clock time.
-//! * [`store`] — the content-addressed on-disk store: atomic tmp+rename
-//!   writes, an index, checksum validation on load, and a byte-budgeted
-//!   [`store::ResultsStore::gc`].
+//! * [`store`] — the on-disk store: append-only segment files, one
+//!   checksummed line per record, validated and loaded into memory on
+//!   open, and a byte-budgeted, compacting [`store::ResultsStore::gc`].
 //! * [`campaign`] — campaign artifacts (every table cell of a named
 //!   experiment set) and tolerance-based regression [`campaign::diff`].
 //!
@@ -63,5 +63,5 @@ pub mod prelude {
     pub use crate::campaign::{diff, CampaignArtifact, CampaignDiff, ExperimentData, TableData};
     pub use crate::json::Json;
     pub use crate::record::{CellKey, ResultRecord};
-    pub use crate::store::{GcStats, ResultsStore, DEFAULT_STORE_DIR};
+    pub use crate::store::{GcStats, ResultsStore, StoreWarning, DEFAULT_STORE_DIR};
 }

@@ -14,12 +14,12 @@ fn a_failed_store_write_is_kept_for_the_command() {
     let root = std::env::temp_dir().join(format!("bpred-sim-write-fail-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let store = ResultsStore::open(&root).unwrap();
-    // Replace the records directory with a plain file: every record
-    // write now fails, whoever runs the process (unlike a permission
-    // change, which root ignores).
-    let records = root.join("records");
-    std::fs::remove_dir_all(&records).unwrap();
-    std::fs::write(&records, b"not a directory").unwrap();
+    // A plain file where the segments directory goes: creating this
+    // handle's segment, and so every record write, now fails, whoever
+    // runs the process (unlike a permission change, which root ignores).
+    let segments = root.join("segments");
+    let _ = std::fs::remove_dir_all(&segments);
+    std::fs::write(&segments, b"not a directory").unwrap();
 
     resume::configure(store, false, true);
     let mut opts = ExperimentOpts::quick();
@@ -30,7 +30,7 @@ fn a_failed_store_write_is_kept_for_the_command() {
     assert_eq!(resume::stats().records_saved, 0, "no write can succeed");
     let error = resume::take_write_error().expect("the failed write is kept");
     assert!(
-        error.contains(&records.display().to_string()),
+        error.contains(&segments.display().to_string()),
         "the message names the failing path: {error}"
     );
     assert_eq!(resume::take_write_error(), None, "taking it clears it");
